@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .lattices import DiscElement, q_mod1
-
 
 class CongruenceError(ValueError):
     """Raised when (m0, r1) violates m0 = -r1**2/4N mod 1; distinct from an empty divisor."""
@@ -297,34 +295,3 @@ def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerInd
         return HeegnerIndex(level=level, disc=disc, r=r1)
     except ValueError:
         return None
-
-
-def special_divisor_key_is_valid(level: int, m0: Fraction | int, r1: int) -> bool:
-    """True when (m0, r1) indexes a nonempty Heegner divisor at this level."""
-    try:
-        return special_divisor_index(level, m0, r1) is not None
-    except (CongruenceError, ValueError):
-        return False
-
-
-def heegner_degree_on_cover(level: int, m0: Fraction | int, r1: int, cover_degree: int) -> Fraction:
-    """Degree of the paired Heegner divisor pulled back through a degree-d cover.
-
-    The downstairs divisor is the r and -r pair, so its degree is twice the
-    Hurwitz class number; self-paired indices count the single divisor with
-    multiplicity two, giving the same total.
-    """
-    idx = special_divisor_index(level, m0, r1)
-    if idx is None:
-        return Fraction(0)
-    return 2 * cover_degree * hurwitz_class_number(-idx.disc)
-
-
-def disc_element_for_r1(level: int, r1: int) -> DiscElement:
-    return DiscElement(level=level, r1=r1, r2=0)
-
-
-def heegner_key_congruent(level: int, m0: Fraction, r1: int) -> bool:
-    """Congruence test m0 = q(mu_r1) mod 1 on the trace-zero side."""
-    mu = DiscElement(level=level, r1=r1, r2=0)
-    return (Fraction(m0) - q_mod1(mu, "trace0")) % 1 == 0

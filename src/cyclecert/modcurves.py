@@ -79,13 +79,6 @@ def psl2_order(m: int) -> int:
     return sl2_order(m) if m <= 2 else sl2_order(m) // 2
 
 
-def _phi(n: int) -> int:
-    r = n
-    for p in _prime_factors(n):
-        r = r // p * (p - 1)
-    return r
-
-
 @dataclass(frozen=True)
 class CurveProfile:
     label: str
@@ -134,7 +127,20 @@ def x0_profile(level: int) -> CurveProfile:
             if p == 3:
                 continue
             nu3 *= 1 + (1 if p % 3 == 1 else -1)
-    cusps = sum(_phi(gcd(d, n // d)) for d in range(1, n + 1) if n % d == 0)
+    # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
+    # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
+    cusps = 1
+    for p in primes:
+        e = 0
+        x = n
+        while x % p == 0:
+            x //= p
+            e += 1
+        local = 0
+        for i in range(e + 1):
+            k = min(i, e - i)
+            local += p ** (k - 1) * (p - 1) if k else 1
+        cusps *= local
     genus = Fraction(1) + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
     assert genus.denominator == 1
     return CurveProfile("x0", n, index, nu2, nu3, cusps, int(genus))

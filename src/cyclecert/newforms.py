@@ -191,7 +191,11 @@ class NewformClient:
         while os.path.exists(target):
             suffix += 1
             target = "%s.corrupt.%d" % (path, suffix)
-        os.replace(path, target)
+        try:
+            os.replace(path, target)
+        except FileNotFoundError:
+            # another process moved the corrupt file away first
+            return
 
     def _write_cache(self, level: int, records: list[NewformRecord]) -> None:
         path = self._cache_path(level)

@@ -17,20 +17,8 @@ from math import isqrt
 from .heegner import hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement, q_mod1
 from .modcurves import cover_degree_over_x0
-from .repcount import scalar_rep_count
 
 HeegKey = tuple[Fraction, int]
-
-
-def _validate_heeg_key(level: int, m0: Fraction, r1: int) -> HeegKey:
-    m0 = Fraction(m0)
-    if m0 <= 0:
-        raise ValueError("Heegner keys require m0 > 0")
-    r1 = r1 % (2 * level)
-    scaled = m0 * 4 * level
-    if scaled.denominator != 1 or (scaled.numerator + r1 * r1) % (4 * level) != 0:
-        raise ValueError("key (%s, %d) violates m0 = -r1**2/(4N) mod 1" % (m0, r1))
-    return (m0, r1)
 
 
 @dataclass
@@ -38,7 +26,9 @@ class DivisorClass:
     """Formal divisor class: Heegner coefficients plus Omega and Cusp parts.
 
     `cusp_ambiguous` means the cusp coefficient is a representative only,
-    defined up to an undetermined integer.
+    defined up to an undetermined integer.  Construction validates every key
+    with a nonzero coefficient; sums and multiples of classes reuse their
+    operands' keys without checking them again.
     """
 
     level: int
@@ -55,13 +45,32 @@ class DivisorClass:
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            key = _validate_heeg_key(self.level, m0, r1)
-            if special_divisor_index(self.level, key[0], key[1]) is None:
-                raise ValueError("key %s indexes an empty divisor" % (key,))
+            idx = special_divisor_index(self.level, m0, r1)
+            if idx is None:
+                raise ValueError("key %s indexes an empty divisor" % ((m0, r1),))
+            key = (Fraction(m0), idx.r)
             cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
         self.heeg_coeffs = {k: v for k, v in cleaned.items() if v != 0}
         self.omega_coeff = Fraction(self.omega_coeff)
         self.cusp_coeff = Fraction(self.cusp_coeff)
+
+    @classmethod
+    def _from_valid(
+        cls,
+        level: int,
+        heeg_coeffs: dict[HeegKey, Fraction],
+        omega_coeff: Fraction,
+        cusp_coeff: Fraction,
+        cusp_ambiguous: bool,
+    ) -> "DivisorClass":
+        # keys already validated and normalized, coefficients nonzero Fractions
+        out = cls.__new__(cls)
+        out.level = level
+        out.heeg_coeffs = heeg_coeffs
+        out.omega_coeff = omega_coeff
+        out.cusp_coeff = cusp_coeff
+        out.cusp_ambiguous = cusp_ambiguous
+        return out
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.level != other.level:
@@ -69,22 +78,22 @@ class DivisorClass:
         heeg = dict(self.heeg_coeffs)
         for k, v in other.heeg_coeffs.items():
             heeg[k] = heeg.get(k, Fraction(0)) + v
-        return DivisorClass(
-            level=self.level,
-            heeg_coeffs=heeg,
-            omega_coeff=self.omega_coeff + other.omega_coeff,
-            cusp_coeff=self.cusp_coeff + other.cusp_coeff,
-            cusp_ambiguous=self.cusp_ambiguous or other.cusp_ambiguous,
+        return DivisorClass._from_valid(
+            self.level,
+            {k: v for k, v in heeg.items() if v != 0},
+            self.omega_coeff + other.omega_coeff,
+            self.cusp_coeff + other.cusp_coeff,
+            self.cusp_ambiguous or other.cusp_ambiguous,
         )
 
     def scaled(self, factor: Fraction | int) -> "DivisorClass":
         f = Fraction(factor)
-        return DivisorClass(
-            level=self.level,
-            heeg_coeffs={k: f * v for k, v in self.heeg_coeffs.items()},
-            omega_coeff=f * self.omega_coeff,
-            cusp_coeff=f * self.cusp_coeff,
-            cusp_ambiguous=self.cusp_ambiguous,
+        return DivisorClass._from_valid(
+            self.level,
+            {k: f * v for k, v in self.heeg_coeffs.items()} if f != 0 else {},
+            f * self.omega_coeff,
+            f * self.cusp_coeff,
+            self.cusp_ambiguous,
         )
 
     def heeg_vector(self) -> dict[HeegKey, Fraction]:
@@ -134,6 +143,46 @@ class PullbackDecomposition:
         return Fraction(0)
 
 
+def _add_pullback(
+    gen: AmbientGenerator, coeff: int | Fraction, heeg: dict[tuple[int, int], int | Fraction]
+) -> int | Fraction:
+    """Add coeff times the Heegner part of the pullback of gen into heeg; return its Omega part.
+
+    Keys of `heeg` are (4N*m0, r1) in integers.  A splitting is one s = r2
+    mod 2N with s**2 <= 4N*m, giving 4N*m0 = 4N*m - s**2; s and -s both
+    count, which is the scalar line's representation count.
+    """
+    r1, r2 = gen.mu.r1, gen.mu.r2
+    if gen.m == 0:
+        return -2 * coeff if gen.mu.is_zero() else 0
+    two_n = 2 * gen.level
+    four_nm, rem = divmod(gen.m.numerator * 2 * two_n, gen.m.denominator)
+    assert rem == 0  # m = q(mu) mod 1 forces denominator | 4N
+    smax = isqrt(four_nm)
+    omega = 0
+    for s in range(-smax + (r2 + smax) % two_n, smax + 1, two_n):
+        rest = four_nm - s * s
+        if rest:
+            key = (rest, r1)
+            heeg[key] = heeg.get(key, 0) + coeff
+        elif r1 == 0:
+            omega -= coeff
+    return omega
+
+
+def _divisor_class(
+    level: int, heeg: dict[tuple[int, int], int | Fraction], omega: int | Fraction, ambiguous: bool
+) -> DivisorClass:
+    four_n = 4 * level
+    return DivisorClass(
+        level=level,
+        heeg_coeffs={(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c},
+        omega_coeff=Fraction(omega),
+        cusp_coeff=Fraction(0),
+        cusp_ambiguous=ambiguous,
+    )
+
+
 def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     """Diagonal pullback of an ambient generator, as a divisor class on the curve.
 
@@ -145,88 +194,72 @@ def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     representative is 0.  For m = 0 the pullback is -2*Omega at mu = 0 by
     adjunction, and the zero class otherwise.
     """
-    n = gen.level
-    r1, r2 = gen.mu.r1, gen.mu.r2
-    if gen.m == 0:
-        if gen.mu.is_zero():
-            return DivisorClass(level=n, omega_coeff=Fraction(-2), cusp_ambiguous=False)
-        return DivisorClass(level=n, cusp_ambiguous=False)
+    heeg: dict[tuple[int, int], int] = {}
+    omega = _add_pullback(gen, 1, heeg)
+    return _divisor_class(gen.level, heeg, omega, gen.m != 0)
 
-    heeg: dict[HeegKey, Fraction] = {}
-    omega = Fraction(0)
-    scaled = gen.m * 4 * n
-    assert scaled.denominator == 1  # m = q(mu) mod 1 forces denominator | 4N
-    smax = isqrt(scaled.numerator)
-    seen: set[Fraction] = set()
-    k_lo = -(smax + r2) // (2 * n) - 1
-    k_hi = (smax - r2) // (2 * n) + 1
-    for k in range(k_lo, k_hi + 1):
-        s = r2 + 2 * n * k
-        m_plus = Fraction(s * s, 4 * n)
-        if m_plus > gen.m or m_plus in seen:
-            continue
-        seen.add(m_plus)
-        count = scalar_rep_count(n, m_plus, r2)
-        if count == 0:
-            continue
-        m0 = gen.m - m_plus
-        if m0 > 0:
-            key = (m0, r1 % (2 * n))
-            heeg[key] = heeg.get(key, Fraction(0)) + count
-        elif r1 % (2 * n) == 0:
-            omega += -count
-    return DivisorClass(
-        level=n,
-        heeg_coeffs=heeg,
-        omega_coeff=omega,
-        cusp_coeff=Fraction(0),
-        cusp_ambiguous=True,
-    )
+
+_INVERSE_THETA: dict[int, list[int]] = {}
+
+
+def _inverse_theta(level: int, length: int) -> list[int]:
+    """First `length` (or more) coefficients of 1/theta(q^N), theta = 1 + 2*sum_{k>=1} q^(k^2).
+
+    c_0 = 1 and c_j = -2 * sum_{k>=1} c_{j - N*k**2}.  Cached per level and
+    extended on demand; an extension replaces the cached list, never mutates it.
+    """
+    coeffs = _INVERSE_THETA.get(level, [1])
+    if len(coeffs) < length:
+        coeffs = list(coeffs)
+        for j in range(len(coeffs), length):
+            acc = 0
+            k = 1
+            step = level
+            while step <= j:
+                acc += coeffs[j - step]
+                k += 1
+                step = level * k * k
+            coeffs.append(-2 * acc)
+        _INVERSE_THETA[level] = coeffs
+    return coeffs
 
 
 def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomposition:
-    """Express Heeg(m0, r1) as a pullback of ambient generators, by back-substitution.
+    """Express Heeg(m0, r1) as a pullback of ambient generators.
 
-    The generators are Z*(m', (r1, 0)) for the ladder m' = m0, m0 - 1, ...
-    down to the fractional part, plus Z*(0, 0).  The linear system is
-    unitriangular in decreasing m', so the leading coefficient is exactly 1;
-    the Z*(0, 0) coefficient is chosen so the Omega parts cancel, and the cusp
-    part stays ambiguous.
+    The generators are Z*(m0 - j, (r1, 0)) for the ladder j = 0, 1, ... while
+    m0 - j > 0, plus Z*(0, 0).  The pullback of Z*(m, (r1, 0)) is
+    sum_k Heeg(m - N*k**2, r1), so the ladder's generating series is
+    multiplied by theta(q^N) with theta = 1 + 2*sum_{k>=1} q^(k^2); the
+    coefficient of Z*(m0 - j, (r1, 0)) is therefore the j-th coefficient of
+    1/theta(q^N), an integer that depends only on N and j, with leading
+    coefficient 1.  The Z*(0, 0) coefficient is chosen so the Omega parts
+    cancel, and the cusp part stays ambiguous.  The round trip through
+    `verify_decomposition` is linear in the number of pullback terms it sums.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    m0, r1 = _validate_heeg_key(level, Fraction(m0), r1)
-    n = level
-
-    lam: dict[Fraction, Fraction] = {}
-    needed: dict[Fraction, Fraction] = {m0: Fraction(1)}
-    omega_total = Fraction(0)
-    m_cur = m0
-    while m_cur > 0:
-        coeff = needed.pop(m_cur, Fraction(0))
-        if coeff != 0:
-            lam[m_cur] = coeff
-            k = 1
-            while m_cur - n * k * k > 0:
-                lower = m_cur - n * k * k
-                needed[lower] = needed.get(lower, Fraction(0)) - 2 * coeff
-                k += 1
-            if r1 == 0:
-                ratio = Fraction(m_cur, n)
-                if ratio.denominator == 1 and isqrt(ratio.numerator) ** 2 == ratio.numerator:
-                    omega_total += -2 * coeff
-        m_cur -= 1
-
+    idx = special_divisor_index(level, m0, r1)
+    if idx is None:
+        raise ValueError("key %s indexes an empty divisor" % ((m0, r1),))
+    n, r1, four_nm = level, idx.r, -idx.disc
+    four_n = 4 * n
+    depth = -(-four_nm // four_n)
+    coeffs = _inverse_theta(n, depth)
+    mu = DiscElement(level=n, r1=r1, r2=0)
     terms: list[tuple[AmbientGenerator, Fraction]] = [
-        (AmbientGenerator(m=m, mu=DiscElement(level=n, r1=r1, r2=0)), c)
-        for m, c in sorted(lam.items(), reverse=True)
+        (AmbientGenerator(m=Fraction(four_nm - four_n * j, four_n), mu=mu), Fraction(c))
+        for j, c in enumerate(coeffs[:depth])
+        if c
     ]
-    lam0 = omega_total / 2
-    if lam0 != 0:
-        terms.append((AmbientGenerator(m=Fraction(0), mu=DiscElement(level=n, r1=0, r2=0)), lam0))
+    if r1 == 0:
+        # each rung m = N*t**2 pulls back with -2*Omega per unit coefficient,
+        # and Z*(0, 0) pulls back to -2*Omega; m0 is an integer here
+        m0_int = four_nm // four_n
+        lam0 = -sum(coeffs[m0_int - n * t * t] for t in range(1, isqrt(m0_int // n) + 1))
+        if lam0:
+            terms.append((AmbientGenerator(m=Fraction(0), mu=DiscElement(level=n, r1=0, r2=0)), Fraction(lam0)))
     return PullbackDecomposition(
         level=n,
-        target=(m0, r1),
+        target=(Fraction(four_nm, four_n), r1),
         terms=tuple(terms),
         residual_cusp_ambiguous=True,
     )
@@ -234,10 +267,16 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
 
 def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
     """Pull back every generator in the decomposition and sum with its coefficients."""
-    total = DivisorClass(level=decomp.level)
+    heeg: dict[tuple[int, int], int | Fraction] = {}
+    omega: int | Fraction = 0
+    ambiguous = False
     for gen, coeff in decomp.terms:
-        total = total + pullback_divisor(gen).scaled(coeff)
-    return total
+        if gen.level != decomp.level:
+            raise ValueError("cannot add classes at different levels")
+        coeff = Fraction(coeff)
+        omega += _add_pullback(gen, coeff.numerator if coeff.denominator == 1 else coeff, heeg)
+        ambiguous = ambiguous or gen.m != 0
+    return _divisor_class(decomp.level, heeg, omega, ambiguous)
 
 
 def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fraction]:
@@ -266,12 +305,12 @@ def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorCl
     if idx is None:
         raise ValueError("decomposition targets an empty divisor")
     degree = 2 * cover_degree_over_x0(level) * hurwitz_class_number(-idx.disc)
-    return DivisorClass(
-        level=level,
-        heeg_coeffs={(m0, r1): Fraction(1)},
-        omega_coeff=Fraction(0),
-        cusp_coeff=-degree,
-        cusp_ambiguous=False,
+    return DivisorClass._from_valid(
+        level,
+        {(Fraction(m0), idx.r): Fraction(1)},
+        Fraction(0),
+        Fraction(-degree),
+        False,
     )
 
 
@@ -284,10 +323,10 @@ def reduce_omega_to_cusp(divclass: DivisorClass, genus: int) -> DivisorClass:
     """
     if genus < 2 or divclass.omega_coeff == 0:
         return divclass
-    return DivisorClass(
-        level=divclass.level,
-        heeg_coeffs=dict(divclass.heeg_coeffs),
-        omega_coeff=Fraction(0),
-        cusp_coeff=divclass.cusp_coeff + divclass.omega_coeff * (2 * genus - 2),
-        cusp_ambiguous=divclass.cusp_ambiguous,
+    return DivisorClass._from_valid(
+        divclass.level,
+        dict(divclass.heeg_coeffs),
+        Fraction(0),
+        divclass.cusp_coeff + divclass.omega_coeff * (2 * genus - 2),
+        divclass.cusp_ambiguous,
     )

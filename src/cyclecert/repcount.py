@@ -21,10 +21,10 @@ def scalar_rep_count(level: int, value: Fraction | int, residue: int) -> int:
     if level < 1:
         raise ValueError("level must be a positive integer")
     two_n = 2 * level
-    scaled = Fraction(value) * 4 * level
-    if scaled.denominator != 1:
+    v = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    n, rem = divmod(v.numerator * 2 * two_n, v.denominator)
+    if rem:
         raise ValueError("value must have denominator dividing 4*level")
-    n = scaled.numerator
     if n < 0:
         raise ValueError("value must be nonnegative")
     if n == 0:

@@ -120,3 +120,20 @@ def cover_index_by_crt(level: int) -> int:
             total *= local_index(p, q)
         p += 1
     return total
+
+
+def inverse_theta_coeffs(level: int, length: int) -> list[int]:
+    """First `length` coefficients of 1/theta(q^N), theta = 1 + 2 * sum_{k>=1} q^(k^2).
+
+    Plain power-series division of 1 by the truncated theta series.
+    """
+    theta = [0] * length
+    for k in range(length):
+        if level * k * k < length:
+            theta[level * k * k] = 1 if k == 0 else 2
+    inv: list[Fraction] = []
+    for j in range(length):
+        rhs = Fraction(1 if j == 0 else 0) - sum(theta[i] * inv[j - i] for i in range(1, j + 1))
+        inv.append(rhs / theta[0])
+    assert all(c.denominator == 1 for c in inv)
+    return [int(c) for c in inv]

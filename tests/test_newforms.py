@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 
 import pytest
@@ -117,6 +118,26 @@ def test_corrupt_cache_is_quarantined_not_deleted(tmp_path):
     assert any(r.analytic_rank == 1 for r in records)
     assert not bad.exists()
     assert (cache / "level_37.json.corrupt").exists()
+
+
+def test_quarantine_tolerates_a_concurrent_quarantine(tmp_path, monkeypatch):
+    cache = tmp_path / "newforms"
+    cache.mkdir()
+    bad = cache / "level_37.json"
+    bad.write_text("{not json", encoding="utf-8")
+    client = NewformClient(cache_dir=str(tmp_path))
+    quarantine = client._quarantine
+
+    def moved_away_first(path):
+        # another process quarantines the same file just before this one does
+        os.replace(path, path + ".corrupt")
+        quarantine(path)
+
+    monkeypatch.setattr(client, "_quarantine", moved_away_first)
+    records = client.fetch_newforms(37, mode="offline")
+    assert any(r.analytic_rank == 1 for r in records)
+    assert not bad.exists()
+    assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
 
 
 def test_malformed_payload_reports_record_index():

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from cyclecert.heegner import hurwitz_class_number
+import cyclecert.pullback as pullback_mod
+from cyclecert.heegner import CongruenceError, hurwitz_class_number
 from cyclecert.lattices import DiscElement
 from cyclecert.pullback import (
     AmbientGenerator,
@@ -15,6 +17,7 @@ from cyclecert.pullback import (
     reduce_omega_to_cusp,
     verify_decomposition,
 )
+from oracles import inverse_theta_coeffs
 
 
 def gen(level, m, r1, r2=0):
@@ -146,6 +149,69 @@ def test_pullback_support_bound():
 def test_divisor_class_rejects_bad_keys():
     with pytest.raises(ValueError):
         DivisorClass(level=1, heeg_coeffs={(Fraction(1, 2), 0): Fraction(1)})
+    with pytest.raises(CongruenceError):
+        DivisorClass(level=3, heeg_coeffs={(Fraction(1, 3), 1): Fraction(2)})
+    with pytest.raises(ValueError):
+        DivisorClass(level=2, heeg_coeffs={(Fraction(0), 0): Fraction(1)})
+    ok = DivisorClass(level=2, heeg_coeffs={(Fraction(7, 8), 5): 3})
+    assert ok.heeg_coeffs == {(Fraction(7, 8), 1): Fraction(3)}
+    with pytest.raises(ValueError):
+        ok + DivisorClass(level=1)
+
+
+def test_sums_and_multiples_do_not_revalidate(monkeypatch):
+    a = pullback_divisor(gen(2, 3, 0, 0))
+    b = pullback_divisor(gen(2, 2, 0, 0))
+
+    def refuse(*args):
+        raise AssertionError("operands were validated when built")
+
+    monkeypatch.setattr(pullback_mod, "special_divisor_index", refuse)
+    total = a.scaled(Fraction(1, 2)) + b
+    assert total.heeg_coeffs == {
+        (Fraction(3), 0): Fraction(1, 2),
+        (Fraction(2), 0): Fraction(1),
+        (Fraction(1), 0): Fraction(1),
+    }
+    assert total.omega_coeff == -2
+    assert a.scaled(0).is_zero()
+
+
+def test_round_trip_validates_only_the_surviving_key(monkeypatch):
+    calls = []
+    validate = pullback_mod.special_divisor_index
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(pullback_mod, "special_divisor_index", counted)
+    dec = decompose_heegner(1, 300, 0)
+    assert verify_decomposition(dec) == {}
+    assert calls == [(1, 300, 0), (1, Fraction(300), 0)]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5, 6, 7, 11, 30])
+def test_decompose_ladder_is_inverse_theta(level):
+    four_n = 4 * level
+    for r1 in range(2 * level):
+        first = (-r1 * r1) % four_n or four_n
+        for scaled in (first, first + four_n * 40):
+            m0 = Fraction(scaled, four_n)
+            expected = inverse_theta_coeffs(level, -(-scaled // four_n))
+            ladder = [(g.m, g.mu.r1, g.mu.r2, c) for g, c in decompose_heegner(level, m0, r1).terms if g.m != 0]
+            assert ladder == [(m0 - j, r1, 0, c) for j, c in enumerate(expected) if c]
+
+
+def test_long_ladder_round_trip():
+    # 2000 rungs; summing them once, with one validation, keeps this far
+    # below the budget
+    start = time.monotonic()
+    dec = decompose_heegner(1, 2000, 0)
+    assert len(dec.terms) == 2001
+    assert verify_decomposition(dec) == {}
+    assert apply_decomposition(dec).omega_coeff == 0
+    assert time.monotonic() - start < 2.0
 
 
 def test_divisor_class_drops_zero_coefficients():
