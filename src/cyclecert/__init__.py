@@ -2,7 +2,8 @@
 diagonal pullback decomposition of special divisors, and machine-checkable
 nontriviality certificates for the Ceresa and modified-diagonal cycles."""
 
-from .certify import Certificate, certify, explain, large_level_bound
+from .arith import large_level_bound
+from .certify import Certificate, certify, explain
 from .heegner import (
     BQForm,
     CongruenceError,

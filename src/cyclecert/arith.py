@@ -1,0 +1,127 @@
+"""The arithmetic kernel: primality, factorization and divisors of a level.
+
+Every certificate criterion is read off the factorization of N, so this is the
+one module that factors.  `factor` is complete for every N up to the size
+bound of the certificate; above it, where the bound clause already decides,
+a composite piece may be returned unsplit as the cofactor.
+"""
+
+from __future__ import annotations
+
+import functools
+from itertools import count
+from math import gcd, isqrt, prod
+
+LISTED_PRIMES = (37, 43, 53, 61, 67)
+LARGE_PRIME_FLOOR = 71
+
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+_MR_BASES = _TRIAL_PRIMES[:13]
+
+# the least strong pseudoprime to all 13 bases, 1287836182261 * 2575672364521
+# (Sorenson and Webster, Math. Comp. 86 (2017)); below it they prove primality
+PSI13 = 3317044064679887385961981
+
+
+@functools.lru_cache(maxsize=1)
+def large_level_bound() -> int:
+    """Exact size bound: 2**6 * 3**4 * 5**2 * 7**2 times the primes 11..71 outside the listed set."""
+    return 2**6 * 3**4 * 5**2 * 7**2 * prod(p for p in _TRIAL_PRIMES if p >= 11 and p not in LISTED_PRIMES)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the first 13 prime bases.
+
+    Exact for n < PSI13; at or above it the bases prove nothing, so the call
+    raises ValueError rather than guess.
+    """
+    if n >= PSI13:
+        raise ValueError("primality of %d is not decidable by the 13 fixed bases" % n)
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of an odd composite n: Brent's variant of Pollard rho (BIT 20, 1980)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factor(n: int) -> tuple[dict[int, int], int]:
+    """Prime factorization of n >= 1 as (prime -> exponent, in increasing order; cofactor).
+
+    The primes up to 71 are divided out; each remaining piece is then a
+    proven prime, the square of one, or split by rho.  The cofactor is 1
+    whenever n <= large_level_bound().  Above the bound rho is not run, so a
+    composite piece that is not a prime square comes back unsplit as the
+    cofactor, and so does a piece at or above PSI13.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    factors: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    cofactor = 1
+    pieces = [n] if n > 1 else []
+    while pieces:
+        x = pieces.pop()
+        r = isqrt(x)
+        if x < PSI13 and is_prime(x):
+            factors[x] = factors.get(x, 0) + 1
+        elif r * r == x and r < PSI13 and is_prime(r):
+            factors[r] = factors.get(r, 0) + 2
+        elif x > large_level_bound():
+            cofactor = x  # only n itself can be this large
+        else:
+            d = _rho(x)
+            pieces += [d, x // d]
+    return dict(sorted(factors.items())), cofactor
+
+
+def divisors(factors: dict[int, int]) -> list[int]:
+    """Every divisor of the number with this factorization, in increasing order."""
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)

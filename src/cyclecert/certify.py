@@ -9,16 +9,14 @@ triviality; the criteria are sufficient, not necessary.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from math import isqrt
 
+from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, divisors, factor, large_level_bound
 from .modcurves import (
     DEFAULT_MAX_ENUM_LEVEL,
     CurveProfile,
     LevelBoundError,
     cover_profile,
-    is_prime,
 )
 from .newforms import (
     NewformClient,
@@ -26,9 +24,6 @@ from .newforms import (
     default_client,
     witness_minus_rank1,
 )
-
-LISTED_PRIMES = (37, 43, 53, 61, 67)
-LARGE_PRIME_FLOOR = 71
 
 VERDICT_PROVEN = "proven_nontrivial"
 VERDICT_UNKNOWN = "unknown"
@@ -38,20 +33,6 @@ CLAUSE_A2 = "A2_prime_square"
 CLAUSE_B = "B_bound"
 CLAUSE_ANALYTIC = "analytic_witness"
 CLAUSE_NONE = "none"
-
-_SMALL_PRIMES = tuple(
-    p for p in range(2, LARGE_PRIME_FLOOR + 1) if all(p % q for q in range(2, p))
-)
-
-
-@functools.lru_cache(maxsize=1)
-def large_level_bound() -> int:
-    """Exact size bound: 2**6 * 3**4 * 5**2 * 7**2 times the primes 11..71 outside the listed set."""
-    bound = 2**6 * 3**4 * 5**2 * 7**2
-    for p in _SMALL_PRIMES:
-        if 11 <= p <= 71 and p not in LISTED_PRIMES:
-            bound *= p
-    return bound
 
 
 @dataclass(frozen=True)
@@ -66,42 +47,6 @@ class Certificate:
     def __post_init__(self) -> None:
         if (self.verdict == VERDICT_PROVEN) != (self.clause != CLAUSE_NONE):
             raise ValueError("verdict and clause are inconsistent")
-
-
-def _bounded_factor(n: int) -> tuple[dict[int, int], int]:
-    """Factor by primes up to 71, then bounded effort on the cofactor.
-
-    Returns (known prime factorization, unfactored cofactor).  The cofactor
-    is 1 when the factorization is complete.  Effort on the cofactor is a
-    primality test, a prime-square test, and trial division below 10**6 when
-    the cofactor is at most 10**12; larger composites are left unfactored.
-    """
-    known: dict[int, int] = {}
-    x = n
-    for p in _SMALL_PRIMES:
-        while x % p == 0:
-            known[p] = known.get(p, 0) + 1
-            x //= p
-    if x == 1:
-        return known, 1
-    if is_prime(x):
-        known[x] = known.get(x, 0) + 1
-        return known, 1
-    r = isqrt(x)
-    if r * r == x and is_prime(r):
-        known[r] = known.get(r, 0) + 2
-        return known, 1
-    if x <= 10**12:
-        d = LARGE_PRIME_FLOOR + 2
-        while d * d <= x:
-            while x % d == 0:
-                known[d] = known.get(d, 0) + 1
-                x //= d
-            d += 2
-        if x > 1:
-            known[x] = known.get(x, 0) + 1
-        return known, 1
-    return known, x
 
 
 def certify(
@@ -124,7 +69,7 @@ def certify(
     if n < 1:
         raise ValueError("level must be a positive integer")
     bound = large_level_bound()
-    known, cofactor = _bounded_factor(n)
+    known, cofactor = factor(n)
     notes: list[str] = []
     if cofactor > 1:
         notes.append(
@@ -134,25 +79,17 @@ def certify(
 
     fired: list[tuple[str, dict]] = []
 
-    # A1: a listed prime divisor, else a named prime divisor above 71.  With
-    # an unfactored cofactor a large prime divisor provably exists but cannot
-    # be named, so the clause does not fire on the unnamed evidence alone.
-    a1_witness = None
-    for p in LISTED_PRIMES:
-        if n % p == 0:
-            a1_witness = p
-            break
+    # A1: a listed prime divisor, else a named prime divisor above 71.  Above
+    # the bound an unsplit cofactor hides a large prime divisor that cannot be
+    # named, so the clause does not fire on the unnamed evidence alone.
+    a1_witness = next((p for p in LISTED_PRIMES if p in known), None)
     if a1_witness is None:
-        large = sorted(p for p in known if p > LARGE_PRIME_FLOOR)
-        if large:
-            a1_witness = large[0]
+        a1_witness = next((p for p in known if p > LARGE_PRIME_FLOOR), None)
     if a1_witness is not None:
         fired.append((CLAUSE_A1, {"clause": CLAUSE_A1, "prime": a1_witness}))
 
     # A2: a square prime divisor at least 11, from the known factorization
-    a2_witness = next(
-        (p for p in sorted(known) if p >= 11 and known[p] >= 2), None
-    )
+    a2_witness = next((p for p, e in known.items() if p >= 11 and e >= 2), None)
     if a2_witness is not None:
         fired.append((CLAUSE_A2, {"clause": CLAUSE_A2, "prime": a2_witness}))
 
@@ -161,15 +98,11 @@ def certify(
         fired.append((CLAUSE_B, {"clause": CLAUSE_B, "bound": str(bound)}))
 
     # analytic: odd-sign rank-one newform at a divisor level
-    analytic_note = None
     client = newform_source or default_client()
     try:
         if cofactor > 1:
             raise WitnessIndeterminate("divisor scan limited by incomplete factorization")
-        divisors = [1]
-        for p, e in sorted(known.items()):
-            divisors = [d * p**k for d in divisors for k in range(e + 1)]
-        hit = witness_minus_rank1(n, mode=mode, client=client, divisors=divisors)
+        hit = witness_minus_rank1(n, mode=mode, client=client, divisors=divisors(known))
         if hit is not None:
             level, record = hit
             fired.append(
@@ -186,9 +119,7 @@ def certify(
                 )
             )
     except WitnessIndeterminate as exc:
-        analytic_note = "analytic clause not evaluated: %s" % exc
-    if analytic_note:
-        notes.append(analytic_note)
+        notes.append("analytic clause not evaluated: %s" % exc)
 
     clause = fired[0][0] if fired else CLAUSE_NONE
     verdict = VERDICT_PROVEN if fired else VERDICT_UNKNOWN

@@ -12,64 +12,34 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
+from . import arith
 from .heegner import class_number
 
 DEFAULT_MAX_ENUM_LEVEL = 120
 
 
 class LevelBoundError(ValueError):
-    """Enumeration level exceeds the configured resource guard."""
+    """Level exceeds the enumeration guard, or the factoring bound with a composite part left unsplit."""
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    x = n
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            out.append(p)
-            while x % p == 0:
-                x //= p
-        p += 1 if p == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _level_factors(n: int) -> dict[int, int]:
+    factors, cofactor = arith.factor(n)
+    if cofactor > 1:
+        raise LevelBoundError(
+            "level %d has a composite factor of %d digits above the factoring bound"
+            % (n, len(str(cofactor)))
+        )
+    return factors
 
 
 def sl2_order(m: int) -> int:
     """|SL2(Z/m)| = m**3 * prod(1 - 1/p**2)."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m == 1:
-        return 1
     order = m**3
-    for p in _prime_factors(m):
+    for p in _level_factors(m):
         order = order // (p * p) * (p * p - 1)
     return order
 
@@ -107,35 +77,17 @@ def x0_profile(level: int) -> CurveProfile:
     if level < 1:
         raise ValueError("level must be a positive integer")
     n = level
-    primes = _prime_factors(n)
+    factors = _level_factors(n)
     index = n
-    for p in primes:
+    for p in factors:
         index = index // p * (p + 1)
-    if n % 4 == 0:
-        nu2 = 0
-    else:
-        nu2 = 1
-        for p in primes:
-            if p == 2:
-                continue
-            nu2 *= 1 + (1 if p % 4 == 1 else -1)
-    if n % 9 == 0:
-        nu3 = 0
-    else:
-        nu3 = 1
-        for p in primes:
-            if p == 3:
-                continue
-            nu3 *= 1 + (1 if p % 3 == 1 else -1)
+    # nu2 = prod(1 + (-4/p)) unless 4 | N, nu3 = prod(1 + (-3/p)) unless 9 | N
+    nu2 = 0 if n % 4 == 0 else prod(2 if p % 4 == 1 else 0 for p in factors if p != 2)
+    nu3 = 0 if n % 9 == 0 else prod(2 if p % 3 == 1 else 0 for p in factors if p != 3)
     # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
     # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
     cusps = 1
-    for p in primes:
-        e = 0
-        x = n
-        while x % p == 0:
-            x //= p
-            e += 1
+    for p, e in factors.items():
         local = 0
         for i in range(e + 1):
             k = min(i, e - i)
@@ -246,7 +198,7 @@ def fricke_quotient_genus(p: int) -> int:
     p = 1 mod 4 and h(-4p) + h(-p) for p = 3 mod 4, p > 3; the levels 2 and 3
     are genus 0 outright.
     """
-    if not is_prime(p):
+    if not arith.is_prime(p):
         raise ValueError("p must be prime")
     if p in (2, 3):
         return 0
@@ -267,7 +219,7 @@ def minus_newspace_dim(p: int) -> int:
     differentials downstairs pull back to exactly the invariant forms.
     Composite levels are rejected; they are served by the newform client.
     """
-    if not is_prime(p):
+    if not arith.is_prime(p):
         raise ValueError("level must be prime; composite levels go through the newform database")
     return fricke_quotient_genus(p)
 

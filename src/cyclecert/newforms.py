@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-import requests
+from . import arith
 
 CACHE_SCHEMA_VERSION = 1
 
@@ -139,15 +139,16 @@ class NewformClient:
     def _http_fetch_json(self, level: int):
         if not self.base_url:
             raise TransientFetchError("no base URL configured (set %s)" % ENV_BASE_URL)
+        # imported here so that only the online path pays for it
+        import urllib.parse
+        import urllib.request
+
+        url = self.base_url + "?" + urllib.parse.urlencode({"level": level, "weight": 2})
         try:
-            resp = requests.get(
-                self.base_url,
-                params={"level": level, "weight": 2},
-                timeout=self.timeout_ms / 1000.0,
-            )
-            resp.raise_for_status()
-            return resp.json()
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(url, timeout=self.timeout_ms / 1000.0) as resp:
+                return json.loads(resp.read())
+        except (OSError, ValueError) as exc:
+            # OSError covers URLError, HTTPError and timeouts; ValueError an undecodable body
             raise TransientFetchError(str(exc)) from exc
 
     def _throttle(self) -> None:
@@ -170,7 +171,7 @@ class NewformClient:
 
     def _read_cache(self, level: int) -> list[NewformRecord] | None:
         path = self._cache_path(level)
-        if path is None or not os.path.exists(path):
+        if path is None:
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -181,6 +182,9 @@ class NewformClient:
                 _normalize_record(raw, level, "cache", i)
                 for i, raw in enumerate(payload["records"])
             ]
+        except FileNotFoundError:
+            # never cached, or quarantined by another process
+            return None
         except (ValueError, KeyError, TypeError, PayloadError):
             self._quarantine(path)
             return None
@@ -312,30 +316,6 @@ def default_client(**kwargs) -> NewformClient:
     return NewformClient(**kwargs)
 
 
-def _divisors_of_factored(factors: dict[int, int]) -> list[int]:
-    divs = [1]
-    for p, e in sorted(factors.items()):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _factor_fully(n: int) -> dict[int, int] | None:
-    # trial division; gives up (returns None) past 10**12
-    if n > 10**12:
-        return None
-    out: dict[int, int] = {}
-    x = n
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            out[p] = out.get(p, 0) + 1
-            x //= p
-        p += 1 if p == 2 else 2
-    if x > 1:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def witness_minus_rank1(
     n: int,
     mode: str = "offline",
@@ -355,10 +335,10 @@ def witness_minus_rank1(
         raise ValueError("n must be a positive integer")
     client = client or default_client()
     if divisors is None:
-        factors = _factor_fully(n)
-        if factors is None:
+        factors, cofactor = arith.factor(n)
+        if cofactor > 1:
             raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
-        divisors = _divisors_of_factored(factors)
+        divisors = arith.divisors(factors)
     scan = sorted(divisors)
     if mode == "offline":
         available = client.available_offline_levels()

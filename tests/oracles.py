@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: signature by exact
 congruence diagonalization, modular-curve data by direct coset/orbit
-enumeration, elliptic-point counts by polynomial root counting.
+enumeration, elliptic-point counts by polynomial root counting, primality
+by trial division (or sympy above 10**12).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 def exact_signature(gram) -> tuple[int, int]:
@@ -137,3 +139,27 @@ def inverse_theta_coeffs(level: int, length: int) -> list[int]:
         inv.append(rhs / theta[0])
     assert all(c.denominator == 1 for c in inv)
     return [int(c) for c in inv]
+
+
+@functools.lru_cache(maxsize=None)
+def _is_prime_independently(p: int) -> bool:
+    if p <= 10**12:
+        return p == 2 or (p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2)))
+    import pytest
+
+    return pytest.importorskip("sympy").isprime(p)
+
+
+def is_factorization(n: int, factors: dict[int, int]) -> bool:
+    """True when `factors` (prime -> exponent) is the prime factorization of n.
+
+    The factors are multiplied back, and each prime is checked on its own: by
+    trial division up to 10**12, by sympy.isprime above that (the calling test
+    is skipped when sympy is missing).
+    """
+    product = 1
+    for p, e in factors.items():
+        if e < 1 or not _is_prime_independently(p):
+            return False
+        product *= p**e
+    return product == n

@@ -65,6 +65,14 @@ def test_unknown_levels():
         assert "no triviality" in cert.justification
 
 
+def test_composite_beyond_miller_rabin_range_is_not_named_prime():
+    # the least strong pseudoprime to the 13 Miller-Rabin bases
+    psi13 = 1287836182261 * 2575672364521
+    cert = certify(psi13)
+    assert cert.witnesses == ({"clause": CLAUSE_B, "bound": str(PINNED_BOUND)},)
+    assert "factorization incomplete" in cert.justification
+
+
 def test_bound_clause_boundary_exactness():
     at_bound = certify(PINNED_BOUND)
     assert at_bound.clause != CLAUSE_B

@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
+import cyclecert
+import cyclecert.newforms as newforms_mod
 from cyclecert.newforms import (
     NewformClient,
     NewformRecord,
@@ -138,6 +144,86 @@ def test_quarantine_tolerates_a_concurrent_quarantine(tmp_path, monkeypatch):
     assert any(r.analytic_rank == 1 for r in records)
     assert not bad.exists()
     assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
+
+
+def test_cache_quarantined_between_check_and_open_is_a_miss(tmp_path, monkeypatch):
+    cache = tmp_path / "newforms"
+    cache.mkdir()
+    path = cache / "level_37.json"
+    path.write_text("{not json", encoding="utf-8")
+    client = NewformClient(cache_dir=str(tmp_path))
+
+    def open_after_concurrent_quarantine(file, *args, **kwargs):
+        # another process quarantines the file once this one decided to read it
+        if os.fspath(file) == str(path):
+            os.replace(path, str(path) + ".corrupt")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(newforms_mod, "open", open_after_concurrent_quarantine, raising=False)
+    records = client.fetch_newforms(37, mode="offline")
+    assert records == NewformClient().fetch_newforms(37, mode="offline")
+    assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
+
+
+class _Response:
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def _online_client(monkeypatch, urlopen):
+    for name in ("BASE_URL", "CACHE_DIR", "TIMEOUT_MS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return NewformClient(base_url="http://newforms.test/api", timeout_ms=2500, rate_limit_per_sec=1e6)
+
+
+def test_http_fetch_reads_json_body(monkeypatch):
+    seen = []
+    body = [{"label": "37.2.a.a", "weight": 2, "fricke_sign": -1, "analytic_rank": 1}]
+
+    def urlopen(url, timeout):
+        seen.append((url, timeout))
+        return _Response(json.dumps(body).encode())
+
+    records = _online_client(monkeypatch, urlopen).fetch_newforms(37, mode="online")
+    assert [(r.label, r.source) for r in records] == [("37.2.a.a", "online")]
+    assert seen == [("http://newforms.test/api?level=37&weight=2", 2.5)]
+
+
+def _http_503(url, timeout):
+    raise urllib.error.HTTPError(url, 503, "Service Unavailable", None, None)
+
+
+def _timeout(url, timeout):
+    raise TimeoutError("timed out")
+
+
+def _bad_body(url, timeout):
+    return _Response(b"<html>not json</html>")
+
+
+@pytest.mark.parametrize("urlopen", [_http_503, _timeout, _bad_body])
+def test_http_failures_are_transient(monkeypatch, urlopen):
+    client = _online_client(monkeypatch, urlopen)
+    with pytest.raises(TransientFetchError):
+        client.fetch_newforms(37, mode="online")
+
+
+def test_cli_import_loads_no_http_stack():
+    src = os.path.dirname(os.path.dirname(cyclecert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cyclecert.cli; print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_malformed_payload_reports_record_index():
