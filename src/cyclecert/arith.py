@@ -17,6 +17,8 @@ LARGE_PRIME_FLOOR = 71
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 _MR_BASES = _TRIAL_PRIMES[:13]
+# a number above 1 with no prime factor up to 71 and below 73**2 is prime
+_TRIAL_SQUARE = 73 * 73
 
 # the least strong pseudoprime to all 13 bases, 1287836182261 * 2575672364521
 # (Sorenson and Webster, Math. Comp. 86 (2017)); below it they prove primality
@@ -89,9 +91,10 @@ def _rho(n: int) -> int:
 def factor(n: int) -> tuple[dict[int, int], int]:
     """Prime factorization of n >= 1 as (prime -> exponent, in increasing order; cofactor).
 
-    The primes up to 71 are divided out; each remaining piece is then a
-    proven prime, the square of one, or split by rho.  The cofactor is 1
-    whenever n <= large_level_bound().  Above the bound rho is not run, so a
+    The primes up to 71 are divided out, stopping once p*p exceeds what is
+    left; each remaining piece is then a prime below 73**2, a proven prime,
+    the square of one, or split by rho.  The cofactor is 1 whenever
+    n <= large_level_bound().  Above the bound rho is not run, so a
     composite piece that is not a prime square comes back unsplit as the
     cofactor, and so does a piece at or above PSI13.
     """
@@ -99,6 +102,8 @@ def factor(n: int) -> tuple[dict[int, int], int]:
         raise ValueError("n must be a positive integer")
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break  # n is 1 or a prime
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -107,7 +112,7 @@ def factor(n: int) -> tuple[dict[int, int], int]:
     while pieces:
         x = pieces.pop()
         r = isqrt(x)
-        if x < PSI13 and is_prime(x):
+        if x < _TRIAL_SQUARE or (x < PSI13 and is_prime(x)):
             factors[x] = factors.get(x, 0) + 1
         elif r * r == x and r < PSI13 and is_prime(r):
             factors[r] = factors.get(r, 0) + 2

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .arith import divisors, factor
+
 
 class CongruenceError(ValueError):
     """Raised when (m0, r1) violates m0 = -r1**2/4N mod 1; distinct from an empty divisor."""
@@ -32,9 +34,6 @@ class BQForm:
 
     def content(self) -> int:
         return gcd(gcd(self.a, abs(self.b)), self.c)
-
-    def is_positive_definite(self) -> bool:
-        return self.a > 0 and self.discriminant() < 0
 
     def transformed(self, g: tuple[tuple[int, int], tuple[int, int]]) -> "BQForm":
         """Form Q(g11*x + g12*y, g21*x + g22*y)."""
@@ -161,17 +160,20 @@ class HeegnerDivisor:
     self_paired: bool
 
 
-def _units(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (1,)
-    return tuple(u for u in range(1, n) if gcd(u, n) == 1)
-
-
 def _p1_canon(p: int, q: int, n: int) -> tuple[int, int]:
-    # canonical representative of (p : q) in P^1(Z/n)
-    if n == 1:
-        return (0, 0)
-    return min(((u * p) % n, (u * q) % n) for u in _units(n))
+    """Canonical point of (p : q) in P^1(Z/n): the least (u*p, u*q) mod n over units u.
+
+    With g = gcd(p, n) and m = n/g the least u*p is g (0 when g = n), reached
+    exactly by the units u = (p/g)^-1 mod m; the second coordinate is the
+    least u*q over those g residues mod n, so a call costs O(g) steps.
+    """
+    g = gcd(p, n)
+    if g == n:
+        # u*p = 0 for every unit u, and the orbit of q has least element gcd(q, n)
+        return (0, gcd(q, n) % n)
+    m = n // g
+    u0 = pow(p // g, -1, m)
+    return (g, min(u * q % n for u in range(u0, n, m) if gcd(u, n) == 1))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -182,47 +184,43 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _coset_reps(level: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """Integer matrices representing the left cosets of the lower-triangular-mod-N subgroup.
+def _coset_reps(level: int) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]], ...]:
+    """(label, matrix) for the left cosets of the lower-triangular-mod-N subgroup, sorted by label.
 
-    One representative per point of P^1(Z/N); the point is the first column mod N.
+    One pair per point of P^1(Z/N), psi(N) = N * prod_{p | N} (1 + 1/p) in
+    all.  The label is the canonical point `_p1_canon`, the least (u*p, u*q)
+    mod N over units u; the matrix is in SL2(Z) with first column = label
+    mod N.  Labels with first coordinate g | N, g < N, are (g, q) with
+    gcd(q, g) = 1 and q least in its orbit under the units u = 1 mod N/g, so
+    one sweep of q per divisor marks every orbit: O(N * d(N)) steps in all,
+    and no table of size N**2.
     """
     n = level
     if n == 1:
-        return (((1, 0), (0, 1)),)
-    seen: set[tuple[int, int]] = set()
-    reps = []
-    for p in range(n):
+        return (((0, 0), ((1, 0), (0, 1))),)
+    labels = [(0, 1)]
+    for g in divisors(factor(n)[0])[:-1]:
+        m = n // g
+        stabilizer = [u for u in range(1, n, m) if gcd(u, n) == 1]
+        marked = bytearray(n)
         for q in range(n):
-            if gcd(gcd(p, q), n) != 1:
+            if marked[q] or gcd(q, g) != 1:
                 continue
-            lab = _p1_canon(p, q, n)
-            if lab in seen:
-                continue
-            seen.add(lab)
-            pp, qq = p, q
-            if pp == 0:
-                pp = n
-            t = 0
-            while gcd(pp, qq + t * n) != 1:
-                t += 1
-            qq += t * n
-            g, y, x_neg = _egcd(pp, qq)
-            mat = ((pp, -x_neg), (qq, y))
-            assert mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 1
-            reps.append((lab, mat))
-    return tuple(m for (_, m) in sorted(reps))
+            labels.append((g, q))
+            for u in stabilizer:
+                marked[u * q % n] = 1
+    reps = []
+    for p, q in labels:
+        pp = p or n  # gcd(p, q) = 1, and (0, 1) is lifted to (N, 1)
+        _, y, x_neg = _egcd(pp, q)
+        assert pp * y + x_neg * q == 1
+        reps.append(((p, q), ((pp, -x_neg), (q, y))))
+    return tuple(reps)
 
 
+# automorphs of x^2 + y^2 and x^2 + xy + y^2, acting on first columns
 _AUT_FOUR = ((0, -1), (1, 0))
 _AUT_SIX = ((0, -1), (1, 1))
-
-
-def _mat_mul(x, y):
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
 
 
 def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
@@ -235,35 +233,39 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
     Hurwitz class number H(|D|) whenever gcd(D, N) = 1.
     """
     n, disc, r = idx.level, idx.disc, idx.r
+    two_n = 2 * n
     reps = _coset_reps(n)
-    labels = [_p1_canon(g[0][0], g[1][0], n) for g in reps]
-    label_to_index = {lab: j for j, lab in enumerate(labels)}
     classes: list[tuple[BQForm, Fraction]] = []
     for base in reduced_forms(-disc):
-        if base.b == 0 and base.a == base.c:
+        a, b, c = base.a, base.b, base.c
+        if b == 0 and a == c:
             aut = _AUT_FOUR
-        elif base.a == base.b == base.c:
+        elif a == b == c:
             aut = _AUT_SIX
         else:
             aut = None
+        # the level conditions on base.transformed(g), tested on plain ints
         selected = {}
-        for j, g in enumerate(reps):
-            q = base.transformed(g)
-            if q.a % n == 0 and (q.b - r) % (2 * n) == 0:
-                selected[j] = g
+        for label, g in reps:
+            (p, q), (s, t) = g
+            if (a * p * p + b * p * s + c * s * s) % n == 0 and (
+                2 * a * p * q + b * (p * t + q * s) + 2 * c * s * t - r
+            ) % two_n == 0:
+                selected[label] = g
         weight = _hurwitz_weight(base)
-        seen: set[int] = set()
-        for j in sorted(selected):
-            if j in seen:
+        seen: set[tuple[int, int]] = set()
+        for label, g in selected.items():
+            if label in seen:
                 continue
-            orbit = {j}
+            orbit = {label}
             if aut is not None:
-                cur = selected[j]
+                (x, y), (z, w) = aut
+                p, s = g[0][0], g[1][0]
                 for _ in range(6):
-                    cur = _mat_mul(aut, cur)
-                    jj = label_to_index[_p1_canon(cur[0][0], cur[1][0], n)]
-                    if jj in selected:
-                        orbit.add(jj)
+                    p, s = x * p + y * s, z * p + w * s
+                    other = _p1_canon(p, s, n)
+                    if other in selected:
+                        orbit.add(other)
             seen |= orbit
             classes.append((base.transformed(selected[min(orbit)]), weight))
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))

@@ -163,3 +163,28 @@ def is_factorization(n: int, factors: dict[int, int]) -> bool:
             return False
         product *= p**e
     return product == n
+
+
+def _units(n: int) -> tuple[int, ...]:
+    if n == 1:
+        return (1,)
+    return tuple(u for u in range(1, n) if gcd(u, n) == 1)
+
+
+def p1_canon_by_units(p: int, q: int, n: int) -> tuple[int, int]:
+    # canonical representative of (p : q) in P^1(Z/n)
+    if n == 1:
+        return (0, 0)
+    return min(((u * p) % n, (u * q) % n) for u in _units(n))
+
+
+def psi_by_trial_division(n: int) -> int:
+    """Index of Gamma_0(n) in SL2(Z): n * prod over primes p | n of (1 + 1/p)."""
+    out, rest, p = n, n, 2
+    while rest > 1:
+        if rest % p == 0:
+            out = out // p * (p + 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,8 @@ import pytest
 
 from cyclecert.heegner import (
     BQForm,
+    _coset_reps,
+    _p1_canon,
     CongruenceError,
     HeegnerIndex,
     class_number,
@@ -15,6 +18,7 @@ from cyclecert.heegner import (
     reduced_forms,
     special_divisor_index,
 )
+from oracles import p1_canon_by_units, psi_by_trial_division
 
 
 @pytest.mark.parametrize(
@@ -188,3 +192,66 @@ def test_bqform_transform_preserves_discriminant():
     f = BQForm(2, 1, 3)
     g = ((1, 4), (1, 5))
     assert f.transformed(g).discriminant() == f.discriminant()
+
+
+def test_p1_canon_matches_min_over_units():
+    for n in range(1, 61):
+        for p in range(n):
+            for q in range(n):
+                if gcd(gcd(p, q), n) != 1:
+                    continue
+                expected = p1_canon_by_units(p, q, n)
+                assert _p1_canon(p, q, n) == expected
+                # matrix entries are integers outside [0, n): same point
+                assert _p1_canon(p - 2 * n, q + 3 * n, n) == expected
+
+
+def _check_coset_reps(n, reps):
+    assert len(reps) == psi_by_trial_division(n)
+    labels = [label for label, _ in reps]
+    assert labels == sorted(set(labels))
+    for (p, q), ((a, b), (c, d)) in reps:
+        assert a * d - b * c == 1
+        assert (a - p) % n == 0 and (c - q) % n == 0
+
+
+def test_coset_reps_labels_are_canonical_and_count_psi():
+    for n in range(1, 301):
+        reps = _coset_reps(n)
+        _check_coset_reps(n, reps)
+        if n <= 60:
+            assert all(p1_canon_by_units(p, q, n) == (p, q) for (p, q), _ in reps)
+
+
+@pytest.mark.parametrize("n", [9998, 30030])
+def test_coset_reps_count_psi_at_large_levels(n):
+    # uncached call: keeps 10^5 matrices out of the process-wide cache
+    _check_coset_reps(n, _coset_reps.__wrapped__(n))
+
+
+# literal class representatives: a change in which form represents a class,
+# not only in the degree, fails here
+@pytest.mark.parametrize(
+    "level,disc,r,classes",
+    [
+        (120, -15, 105, [(7440, 345, 4, 1), (14880, 345, 2, 1)]),
+        (120, -39, 21, [(480, -219, 25, 1), (600, -219, 20, 1), (48120, 981, 5, 1), (118920, 2181, 10, 1)]),
+        (180, -44, 26, [(10620, -10414, 2553, 1), (13500, 6866, 873, 1), (75780, 1826, 11, 1)]),
+        (180, -80, 80, [(180, 80, 9, 1), (3780, 1160, 89, 1), (22860, 800, 7, 1), (48060, 1160, 7, 1)]),
+        (250, -4, 114, [(3250, 114, 1, Fraction(1, 2))]),
+        (250, -16, 228, [(6500, 228, 2, Fraction(1, 2)), (13000, -12772, 3137, 1), (66250, 728, 2, Fraction(1, 2))]),
+        (250, -31, 63, [(250, 63, 4, 1), (12250, -11937, 2908, 1), (165250, -164437, 40907, 1)]),
+    ],
+)
+def test_class_representatives_pinned(level, disc, r, classes):
+    div = enumerate_heegner_divisor(HeegnerIndex(level, disc, r))
+    assert [(f.a, f.b, f.c, w) for f, w in div.classes] == classes
+
+
+def test_enumeration_at_level_600_is_fast_cold():
+    _coset_reps.cache_clear()
+    t0 = time.perf_counter()
+    div = enumerate_heegner_divisor(HeegnerIndex(600, -1511, 133))
+    elapsed = time.perf_counter() - t0
+    assert div.degree == hurwitz_class_number(1511)
+    assert elapsed < 0.5
