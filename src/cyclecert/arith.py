@@ -124,6 +124,11 @@ def factor(n: int) -> tuple[dict[int, int], int]:
     return dict(sorted(factors.items())), cofactor
 
 
+def phi(factors: dict[int, int]) -> int:
+    """Euler's phi of the number with this factorization."""
+    return prod(p ** (e - 1) * (p - 1) for p, e in factors.items() if e)
+
+
 def divisors(factors: dict[int, int]) -> list[int]:
     """Every divisor of the number with this factorization, in increasing order."""
     divs = [1]

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, divisors, factor, large_level_bound
-from .modcurves import (
-    DEFAULT_MAX_ENUM_LEVEL,
-    CurveProfile,
-    LevelBoundError,
-    cover_profile,
-)
+from .modcurves import CurveProfile, cover_profile
 from .newforms import (
     NewformClient,
     WitnessIndeterminate,
@@ -33,6 +28,11 @@ CLAUSE_A2 = "A2_prime_square"
 CLAUSE_B = "B_bound"
 CLAUSE_ANALYTIC = "analytic_witness"
 CLAUSE_NONE = "none"
+
+# certificates carry the curve profile up to level 60 only, and the note above
+# it keeps its wording; raising the cutoff or rewording the note would change
+# the output of every certificate above level 60
+_PROFILE_MAX_LEVEL = 60
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ def certify(
     n: int,
     newform_source: NewformClient | None = None,
     mode: str = "offline",
-    profile_max_level: int = DEFAULT_MAX_ENUM_LEVEL,
 ) -> Certificate:
     """Certificate for the cycles of the cover curve at level n.
 
@@ -63,8 +62,10 @@ def certify(
     covers both the modified diagonal cycle in the triple product and the
     Ceresa cycle in the Jacobian, for every choice of basepoint.
 
-    An unavailable or failing newform source degrades the analytic clause to
-    "not evaluated"; it never fails the call.
+    The curve profile is attached for n <= 60 only; above that the
+    justification notes it as omitted.  An unavailable or failing newform
+    source degrades the analytic clause to "not evaluated"; it never fails
+    the call.
     """
     if n < 1:
         raise ValueError("level must be a positive integer")
@@ -125,9 +126,9 @@ def certify(
     verdict = VERDICT_PROVEN if fired else VERDICT_UNKNOWN
 
     profile: CurveProfile | None = None
-    try:
-        profile = cover_profile(n, max_enum_level=profile_max_level)
-    except LevelBoundError:
+    if n <= _PROFILE_MAX_LEVEL:
+        profile = cover_profile(n)
+    else:
         notes.append("curve profile omitted: level beyond the enumeration guard")
 
     cert = Certificate(

@@ -2,9 +2,10 @@
 
 Three curves matter: X_0(N), its Fricke quotient at prime level, and the
 torsion-free cover cut out by the subgroup of SL2(Z) with b = 0 mod 2,
-c = 0 mod 2N, d = 1 mod 2N.  The cover's data is computed by explicit
-enumeration of its image in SL2(Z/2N); the enumeration doubles as its own
-oracle, so a level guard protects memory rather than correctness.
+c = 0 mod 2N, d = 1 mod 2N.  The data of X_0(N) and of the cover are closed
+forms in the factorization of the level, so they cost what factoring the
+level costs; the only levels refused are those above the factoring bound
+whose composite part stays unsplit.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from . import arith
 from .heegner import class_number
 
-DEFAULT_MAX_ENUM_LEVEL = 120
-
 
 class LevelBoundError(ValueError):
-    """Level exceeds the enumeration guard, or the factoring bound with a composite part left unsplit."""
+    """Level above the factoring bound with a composite part left unsplit."""
 
 
 def _level_factors(n: int) -> dict[int, int]:
@@ -86,108 +85,42 @@ def x0_profile(level: int) -> CurveProfile:
     nu3 = 0 if n % 9 == 0 else prod(2 if p % 3 == 1 else 0 for p in factors if p != 3)
     # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
     # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
-    cusps = 1
-    for p, e in factors.items():
-        local = 0
-        for i in range(e + 1):
-            k = min(i, e - i)
-            local += p ** (k - 1) * (p - 1) if k else 1
-        cusps *= local
+    cusps = prod(sum(arith.phi({p: min(i, e - i)}) for i in range(e + 1)) for p, e in factors.items())
     genus = Fraction(1) + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
     assert genus.denominator == 1
     return CurveProfile("x0", n, index, nu2, nu3, cusps, int(genus))
 
 
-def _pm_canon(v: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return min(v, tuple((-x) % m for x in v))
-
-
-def _cover_image(m: int) -> list[tuple[int, int, int, int]]:
-    # image in SL2(Z/m) of the subgroup {b = 0 (2), c = 0 (m), d = 1 (m)};
-    # c and d are pinned mod m, so enumerate the (a, b) plane and keep det = 1
-    img = []
-    for a in range(m):
-        for b in range(0, m, 2):
-            if (a * 1 - b * 0) % m == 1 % m:
-                img.append((a, b % m, 0, 1 % m))
-    return img
-
-
 @functools.lru_cache(maxsize=None)
-def cover_profile(level: int, max_enum_level: int = DEFAULT_MAX_ENUM_LEVEL) -> CurveProfile:
+def cover_profile(level: int) -> CurveProfile:
     """Profile of the torsion-free cover curve at the given level.
 
-    The group is the intersection of the standard congruence conditions
-    b = 0 mod 2, c = 0 mod 2N, d = 1 mod 2N inside SL2(Z).  Its image mod 2N
-    is enumerated explicitly; the index is |PSL2(Z/2N)| over the mod-plus-minus
-    image size, cusps are orbits of the image on +-primitive vector pairs, and
-    the absence of elliptic elements is certified by a trace scan.
+    The group is cut out of SL2(Z) by b = 0 mod 2, c = 0 mod 2N, d = 1 mod 2N;
+    conjugating by diag(2, 1) gives Gamma_H(4N) with H = {1, 2N + 1}.  Its
+    image mod 2N is {(1, b; 0, 1) : b even}, N elements, none equal to -I for
+    N >= 2, so the index is |PSL2(Z/2N)| / N.  The group lies in Gamma_0(4),
+    which has no elliptic points, so nu2 = nu3 = 0.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    m = 2 * level
-    if m > max_enum_level:
-        raise LevelBoundError(
-            "enumeration level %d exceeds the guard %d" % (m, max_enum_level)
-        )
-    img = _cover_image(m)
-    if m <= 2:
-        pm_size = len({g for g in img})
-    else:
-        pm_size = len({_pm_canon(g, m) for g in img})
-    index = psl2_order(m) // pm_size
-
-    pairs = sorted(
-        {
-            _pm_canon((p, q), m)
-            for p in range(m)
-            for q in range(m)
-            if gcd(gcd(p, q), m) == 1
-        }
-    )
-    seen: set[tuple[int, ...]] = set()
-    cusps = 0
-    for v in pairs:
-        if v in seen:
-            continue
-        cusps += 1
-        for (a, b, c, d) in img:
-            w = ((a * v[0] + b * v[1]) % m, (c * v[0] + d * v[1]) % m)
-            seen.add(_pm_canon(w, m))
-
-    nu2, nu3 = _cover_elliptic_counts(level)
-    genus = Fraction(1) + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
-    assert genus.denominator == 1 and genus >= 0
-    return CurveProfile("xn", level, index, nu2, nu3, cusps, int(genus))
-
-
-def _cover_elliptic_counts(level: int) -> tuple[int, int]:
-    # elliptic elements of order 2 (resp. 3) reduce to trace 0 (resp. +-1);
-    # scanning mod 2N suffices for N >= 2, while N = 1 needs level 4 because
-    # trace 0 and 2 coincide mod 2
+    factors = _level_factors(level)  # so that a refusal names N, not 2N
+    index = psl2_order(2 * level) // level
     if level == 1:
-        m = 4
-        candidates = [
-            (a, b, c, d)
-            for a in range(m)
-            for b in range(m)
-            for c in range(m)
-            for d in range(m)
-            if a % 2 == 1 and d % 2 == 1 and b % 2 == 0 and c % 2 == 0
-            and (a * d - b * c) % m == 1
-        ]
+        cusps = 3  # -I lies in the group, the three cusps of Gamma(2)
     else:
-        m = 2 * level
-        candidates = _cover_image(m)
-    traces = set()
-    for (a, b, c, d) in candidates:
-        traces.add((a + d) % m)
-        traces.add((-(a + d)) % m)
-    nu2 = 0 if 0 not in traces else None
-    nu3 = 0 if (1 not in traces and (m - 1) not in traces) else None
-    if nu2 is None or nu3 is None:
-        raise RuntimeError("trace scan could not certify torsion-freeness at level %d" % level)
-    return nu2, nu3
+        # cusps = sum over d | 2N of phi(d) * phi(2N/d) * gcd(d, N) / d,
+        # multiplicative in 2N: at p^e || 2N the divisors p^i contribute
+        # phi(p^i) * phi(p^(e - i)), halved at p = 2, i = e.  That term can
+        # be a half-integer, so count twice the cusps and halve once.
+        twice = 1
+        for p, e in {**factors, 2: factors.get(2, 0) + 1}.items():
+            local = sum(arith.phi({p: i}) * arith.phi({p: e - i}) for i in range(e + 1))
+            twice *= 2 * local - arith.phi({p: e}) if p == 2 else local
+        cusps, odd = divmod(twice, 2)
+        assert odd == 0
+    genus = Fraction(1) + Fraction(index, 12) - Fraction(cusps, 2)
+    assert genus.denominator == 1 and genus >= 0
+    return CurveProfile("xn", level, index, 0, 0, cusps, int(genus))
 
 
 @functools.lru_cache(maxsize=None)

@@ -93,6 +93,85 @@ def x0_data_by_enumeration(n: int):
     return index, cusps, nu2, nu3
 
 
+def cover_image(m: int):
+    # image in SL2(Z/m) of the subgroup {b = 0 (2), c = 0 (m), d = 1 (m)};
+    # c and d are pinned mod m, so enumerate the (a, b) plane and keep det = 1
+    img = []
+    for a in range(m):
+        for b in range(0, m, 2):
+            if (a * 1 - b * 0) % m == 1 % m:
+                img.append((a, b % m, 0, 1 % m))
+    return img
+
+
+def _cover_elliptic_counts(level: int) -> tuple[int, int]:
+    # elliptic elements of order 2 (resp. 3) reduce to trace 0 (resp. +-1);
+    # scanning mod 2N suffices for N >= 2, while N = 1 needs level 4 because
+    # trace 0 and 2 coincide mod 2
+    if level == 1:
+        m = 4
+        candidates = [
+            (a, b, c, d)
+            for a in range(m)
+            for b in range(m)
+            for c in range(m)
+            for d in range(m)
+            if a % 2 == 1 and d % 2 == 1 and b % 2 == 0 and c % 2 == 0
+            and (a * d - b * c) % m == 1
+        ]
+    else:
+        m = 2 * level
+        candidates = cover_image(m)
+    traces = set()
+    for (a, b, c, d) in candidates:
+        traces.add((a + d) % m)
+        traces.add((-(a + d)) % m)
+    nu2 = 0 if 0 not in traces else None
+    nu3 = 0 if (1 not in traces and (m - 1) not in traces) else None
+    if nu2 is None or nu3 is None:
+        raise RuntimeError("trace scan could not certify torsion-freeness at level %d" % level)
+    return nu2, nu3
+
+
+def cover_profile_by_enumeration(level: int):
+    """(index, cusps, nu2, nu3) of the cover curve by enumerating its image in SL2(Z/2N).
+
+    The index is |PSL2(Z/2N)| over the plus-minus image size, cusps are
+    orbits of the image on plus-minus primitive vector pairs, and the absence
+    of elliptic elements is certified by a trace scan.
+    """
+    from cyclecert.modcurves import psl2_order
+
+    m = 2 * level
+    img = cover_image(m)
+    if m <= 2:
+        pm_size = len({g for g in img})
+    else:
+        pm_size = len({_pm_canon(g, m) for g in img})
+    index = psl2_order(m) // pm_size
+
+    pairs = sorted(
+        {
+            _pm_canon((p, q), m)
+            for p in range(m)
+            for q in range(m)
+            if gcd(gcd(p, q), m) == 1
+        }
+    )
+    seen = set()
+    cusps = 0
+    for v in pairs:
+        if v in seen:
+            continue
+        cusps += 1
+        for (a, b, c, d) in img:
+            w = ((a * v[0] + b * v[1]) % m, (c * v[0] + d * v[1]) % m)
+            seen.add(_pm_canon(w, m))
+
+    nu2, nu3 = _cover_elliptic_counts(level)
+    return index, cusps, nu2, nu3
+
+
 def cover_index_by_crt(level: int) -> int:
     """SL2 index of the cover group's image at 2N as a product over prime powers."""
     from cyclecert.modcurves import sl2_order

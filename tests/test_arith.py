@@ -1,10 +1,11 @@
 import random
 import time
+from math import gcd
 
 import pytest
 from oracles import is_factorization
 
-from cyclecert.arith import PSI13, divisors, factor, is_prime, large_level_bound
+from cyclecert.arith import PSI13, divisors, factor, is_prime, large_level_bound, phi
 from cyclecert.certify import CLAUSE_A1, VERDICT_PROVEN, certify
 from cyclecert.modcurves import LevelBoundError, sl2_order, x0_profile
 from cyclecert.newforms import witness_minus_rank1
@@ -81,6 +82,11 @@ def test_factor_rejects_nonpositive():
 def test_divisors_against_brute_force():
     for n in range(1, 2001):
         assert divisors(factor(n)[0]) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_phi_against_brute_force():
+    for n in range(1, 2001):
+        assert phi(factor(n)[0]) == sum(1 for u in range(1, n + 1) if gcd(u, n) == 1), n
 
 
 def test_certify_names_a1_prime_of_large_semiprime():

@@ -12,6 +12,7 @@ from cyclecert.certify import (
     explain,
     large_level_bound,
 )
+from cyclecert.modcurves import cover_profile
 from cyclecert.newforms import NewformClient, TransientFetchError
 
 PINNED_BOUND = 48957501300891817233600
@@ -130,9 +131,11 @@ def test_curve_profile_included_when_feasible():
     cert = certify(37)
     assert cert.curve_profile is not None
     assert cert.curve_profile.nu2 == 0 and cert.curve_profile.nu3 == 0
-    big = certify(121)
-    assert big.curve_profile is None
-    assert "enumeration guard" in big.justification
+    assert certify(60).curve_profile == cover_profile(60)
+    for n in (61, 121):
+        big = certify(n)
+        assert big.curve_profile is None
+        assert "curve profile omitted: level beyond the enumeration guard" in big.justification
 
 
 def test_explain_mentions_clause_and_witnesses():

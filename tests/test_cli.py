@@ -53,6 +53,10 @@ def test_genus_x0star_and_xn(capsys):
     assert payload["genus"] == 1 and payload["index"] is None
     code, payload = run_json(capsys, "genus", "1", "--curve", "xn")
     assert payload["index"] == 6 and payload["cusps"] == 3 and payload["genus"] == 0
+    code, payload = run_json(capsys, "genus", "97", "--curve", "xn")
+    assert code == EXIT_OK
+    assert payload == {"kind": "genus", "label": "xn", "level": 97, "index": 28224,
+                       "nu2": 0, "nu3": 0, "cusps": 288, "genus": 2209}
 
 
 def test_heegner_degree(capsys):

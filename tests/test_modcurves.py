@@ -8,10 +8,16 @@ from cyclecert.modcurves import (
     cover_profile,
     fricke_quotient_genus,
     minus_newspace_dim,
+    psl2_order,
     sl2_order,
     x0_profile,
 )
-from oracles import cover_index_by_crt, x0_data_by_enumeration
+from oracles import (
+    cover_image,
+    cover_index_by_crt,
+    cover_profile_by_enumeration,
+    x0_data_by_enumeration,
+)
 
 GENUS_ONE_PRIMES = (37, 43, 53, 61, 79, 83, 89, 101, 131)
 GENUS_TWO_PLUS_PRIMES = (67, 73, 97, 103, 107, 109, 113, 127)
@@ -78,19 +84,32 @@ def test_cover_is_torsion_free_up_to_30():
 
 
 def test_cover_index_multiplicative_over_prime_powers():
-    from cyclecert.modcurves import _cover_image
-
     for n in range(1, 31):
         m = 2 * n
-        direct = sl2_order(m) // len(_cover_image(m))
+        direct = sl2_order(m) // len(cover_image(m))
         assert direct == cover_index_by_crt(n)
 
 
-def test_cover_enumeration_guard():
+def test_cover_profile_against_enumeration_oracle():
+    for n in list(range(1, 61)) + [64, 97, 120]:
+        prof = cover_profile(n)
+        assert (prof.index, prof.cusps, prof.nu2, prof.nu3) == cover_profile_by_enumeration(n), n
+
+
+def test_cover_profile_at_any_level_below_the_factoring_bound():
+    prof = cover_profile(61)
+    assert (prof.index, prof.cusps, prof.nu2, prof.nu3) == cover_profile_by_enumeration(61)
+    n = 999983 * 1000003
+    start = time.perf_counter()
+    prof = cover_profile.__wrapped__(n)
+    assert time.perf_counter() - start < 0.1
+    assert prof.index == psl2_order(2 * n) // n
+    assert (prof.nu2, prof.nu3) == (0, 0)
+    # above the bound, with the composite part left unsplit, it fails fast
+    start = time.perf_counter()
     with pytest.raises(LevelBoundError):
-        cover_profile(61)
-    prof = cover_profile(61, max_enum_level=122)
-    assert prof.nu2 == 0 and prof.nu3 == 0
+        cover_profile.__wrapped__(999999999989 * 1000000000039)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("p,genus", [(37, 1), (2, 0), (3, 0), (5, 0), (31, 0)])
@@ -135,3 +154,5 @@ def test_cover_degree_over_x0():
         num = cover_profile(n).index
         den = x0_profile(n).index
         assert cover_degree_over_x0(n) * den == num
+    # above the level the cover profile was once enumerated to
+    assert cover_degree_over_x0(97) == cover_profile(97).index // x0_profile(97).index == 288

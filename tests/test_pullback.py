@@ -7,6 +7,7 @@ import pytest
 import cyclecert.pullback as pullback_mod
 from cyclecert.heegner import CongruenceError, hurwitz_class_number
 from cyclecert.lattices import DiscElement
+from cyclecert.modcurves import cover_degree_over_x0
 from cyclecert.pullback import (
     AmbientGenerator,
     DivisorClass,
@@ -227,6 +228,10 @@ def test_chow_heegner_degree_zero_contract():
     assert out.cusp_coeff == -2 * 6 * hurwitz_class_number(4)
     assert not out.cusp_ambiguous
     assert out.omega_coeff == 0
+    # level 97 lies above the old enumeration guard of the cover profile
+    out = chow_heegner_divisor(97, decompose_heegner(97, 1, 0))
+    assert out.cusp_coeff == -2 * cover_degree_over_x0(97) * hurwitz_class_number(4 * 97)
+    assert not out.cusp_ambiguous
 
 
 def test_omega_reduction_rule_gated_on_genus():
