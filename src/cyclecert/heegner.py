@@ -5,6 +5,14 @@ N | a and b fixed mod 2N; two such forms are identified when they differ by
 an SL2(Z) change of variable with lower-left entry divisible by N.  Degrees
 are weighted class counts with weight 1/2 on classes proportional to
 x^2 + y^2 and 1/3 on classes proportional to x^2 + x*y + y^2.
+
+An SL2(Z) matrix takes a reduced form [a, b, c] to one with N | a and
+b = r mod 2N exactly when its first column lies in the kernel mod N of the
+rows (a, (b + r)/2) and ((b - r)/2, c), whose determinant (r**2 - D)/4 is
+0 mod N.  At each prime power p^e of N that kernel is one point of
+P^1(Z/p^e), read off in O(1) from a row with an entry prime to p, unless p
+divides all four entries (so p | gcd(D, N)); only then are its
+p^e + p^(e-1) points searched.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import divisors, factor
+from .arith import factor
 
 
 class CongruenceError(ValueError):
@@ -70,14 +78,18 @@ def reduced_forms(n: int) -> tuple[BQForm, ...]:
     return tuple(sorted(out, key=lambda f: (f.a, f.b, f.c)))
 
 
-def _hurwitz_weight(form: BQForm) -> Fraction:
+def _weight_sixths(form: BQForm) -> int:
     # weights attach to the reduced shape, so imprimitive multiples of the
     # two exceptional forms are also weighted
     if form.b == 0 and form.a == form.c:
-        return Fraction(1, 2)
+        return 3
     if form.a == form.b == form.c:
-        return Fraction(1, 3)
-    return Fraction(1)
+        return 2
+    return 6
+
+
+# one shared Fraction per class weight, keyed by the weight in sixths
+_WEIGHTS = {6: Fraction(1), 3: Fraction(1, 2), 2: Fraction(1, 3)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,7 +100,7 @@ def hurwitz_class_number(n: int) -> Fraction:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return sum((_hurwitz_weight(f) for f in reduced_forms(n)), Fraction(0))
+    return Fraction(sum(_weight_sixths(f) for f in reduced_forms(n)), 6)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,94 +195,77 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
-@functools.lru_cache(maxsize=None)
-def _coset_reps(level: int) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]], ...]:
-    """(label, matrix) for the left cosets of the lower-triangular-mod-N subgroup, sorted by label.
-
-    One pair per point of P^1(Z/N), psi(N) = N * prod_{p | N} (1 + 1/p) in
-    all.  The label is the canonical point `_p1_canon`, the least (u*p, u*q)
-    mod N over units u; the matrix is in SL2(Z) with first column = label
-    mod N.  Labels with first coordinate g | N, g < N, are (g, q) with
-    gcd(q, g) = 1 and q least in its orbit under the units u = 1 mod N/g, so
-    one sweep of q per divisor marks every orbit: O(N * d(N)) steps in all,
-    and no table of size N**2.
-    """
-    n = level
-    if n == 1:
-        return (((0, 0), ((1, 0), (0, 1))),)
-    labels = [(0, 1)]
-    for g in divisors(factor(n)[0])[:-1]:
-        m = n // g
-        stabilizer = [u for u in range(1, n, m) if gcd(u, n) == 1]
-        marked = bytearray(n)
-        for q in range(n):
-            if marked[q] or gcd(q, g) != 1:
-                continue
-            labels.append((g, q))
-            for u in stabilizer:
-                marked[u * q % n] = 1
-    reps = []
-    for p, q in labels:
-        pp = p or n  # gcd(p, q) = 1, and (0, 1) is lifted to (N, 1)
-        _, y, x_neg = _egcd(pp, q)
-        assert pp * y + x_neg * q == 1
-        reps.append(((p, q), ((pp, -x_neg), (q, y))))
-    return tuple(reps)
+def _local_kernel(rows: tuple[tuple[int, int], ...], p: int, q: int) -> list[tuple[int, int]]:
+    # points of P^1(Z/q), q = p^e, on which both rows vanish, given a determinant of 0 mod q
+    for alpha, beta in rows:
+        if alpha % p or beta % p:
+            return [(-beta, alpha)]
+    points = [(1, y) for y in range(q)] + [(p * x, 1) for x in range(q // p)]
+    return [(x, y) for x, y in points if all((al * x + be * y) % q == 0 for al, be in rows)]
 
 
-# automorphs of x^2 + y^2 and x^2 + xy + y^2, acting on first columns
-_AUT_FOUR = ((0, -1), (1, 0))
-_AUT_SIX = ((0, -1), (1, 1))
+def _crt_basis(n: int) -> list[tuple[int, int, int]]:
+    # (p, q, E) for each prime power q = p^e exactly dividing N, with E = 1 mod q and 0 mod N/q
+    return [(p, p**e, n // p**e * pow(n // p**e, -1, p**e)) for p, e in factor(n)[0].items()]
+
+
+def _admissible_labels(form: BQForm, n: int, r: int, basis: list[tuple[int, int, int]]) -> set[tuple[int, int]]:
+    # canonical labels of the kernel mod N, the local kernels glued by the CRT basis of N
+    a, b, c = form.a, form.b, form.c
+    rows = ((a, (b + r) // 2), ((b - r) // 2, c))
+    points = [(0, 0)]
+    for p, q, idem in basis:
+        points = [(x0 + x * idem, y0 + y * idem) for x0, y0 in points for x, y in _local_kernel(rows, p, q)]
+    return {_p1_canon(x, y, n) for x, y in points}
+
+
+# automorphs of x^2 + y^2 and x^2 + xy + y^2, acting on first columns, keyed by weight in sixths
+_AUTS = {3: ((0, -1), (1, 0)), 2: ((0, -1), (1, 1))}
 
 
 def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
     """Enumerate the classes of forms [aN, b, c] of discriminant D with b = r mod 2N.
 
-    Every class is obtained by transforming a reduced form R by a coset
-    representative; the level-N condition is constant on cosets, and the
-    automorph group of R (order 2 or 3 mod +-1 in the two exceptional shapes)
-    glues cosets that give equivalent forms.  Weighted degree equals the
-    Hurwitz class number H(|D|) whenever gcd(D, N) = 1.
+    Every class is a reduced form R = [a, b, c] transformed by an SL2(Z)
+    matrix M with first column (p, s).  With u = 2ap + bs and v = bp + 2cs
+    the transform has (2a', b') = M^T (u, v), so N | a' and b' = r mod 2N
+    say exactly that (p, s) is in the kernel mod N of the rows
+    (a, (b + r)/2) and ((b - r)/2, c).  M is built from the canonical label
+    of each kernel point, and the automorphs of R (order 2 or 3 mod +-1 in
+    the two exceptional shapes) glue labels that give equivalent forms.  A
+    reduced form costs one local solve per prime of N and an O(gcd(p, N))
+    label, plus a search of P^1(Z/l^e) at a prime l | gcd(D, N) dividing the
+    whole system.  The weighted degree is H(|D|) whenever gcd(D, N) = 1.
     """
     n, disc, r = idx.level, idx.disc, idx.r
-    two_n = 2 * n
-    reps = _coset_reps(n)
+    basis = _crt_basis(n)
     classes: list[tuple[BQForm, Fraction]] = []
+    total_sixths = 0
     for base in reduced_forms(-disc):
-        a, b, c = base.a, base.b, base.c
-        if b == 0 and a == c:
-            aut = _AUT_FOUR
-        elif a == b == c:
-            aut = _AUT_SIX
-        else:
-            aut = None
-        # the level conditions on base.transformed(g), tested on plain ints
-        selected = {}
-        for label, g in reps:
-            (p, q), (s, t) = g
-            if (a * p * p + b * p * s + c * s * s) % n == 0 and (
-                2 * a * p * q + b * (p * t + q * s) + 2 * c * s * t - r
-            ) % two_n == 0:
-                selected[label] = g
-        weight = _hurwitz_weight(base)
-        seen: set[tuple[int, int]] = set()
-        for label, g in selected.items():
-            if label in seen:
-                continue
-            orbit = {label}
-            if aut is not None:
-                (x, y), (z, w) = aut
-                p, s = g[0][0], g[1][0]
+        sixths = _weight_sixths(base)
+        labels = _admissible_labels(base, n, r, basis)
+        if sixths in _AUTS:
+            # the labels are closed under the automorphs; each orbit is represented by its least label
+            (x, y), (z, w) = _AUTS[sixths]
+            least = set()
+            for p, s in labels:
+                orbit = set()
                 for _ in range(6):
                     p, s = x * p + y * s, z * p + w * s
-                    other = _p1_canon(p, s, n)
-                    if other in selected:
-                        orbit.add(other)
-            seen |= orbit
-            classes.append((base.transformed(selected[min(orbit)]), weight))
+                    orbit.add(_p1_canon(p, s, n))
+                least.add(min(orbit))
+            labels = least
+        for p, s in labels:
+            # gcd(p, s) = 1 for a canonical label, and (0, 1) is lifted to (N, 1)
+            _, t, q_neg = _egcd(p or n, s)
+            form = base.transformed(((p or n, -q_neg), (s, t)))
+            assert form.a % n == 0 and (form.b - r) % (2 * n) == 0
+            classes.append((form, _WEIGHTS[sixths]))
+            total_sixths += sixths
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
-    degree = sum((w for (_, w) in classes), Fraction(0))
-    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())
+    return HeegnerDivisor(
+        index=idx, classes=tuple(classes), degree=Fraction(total_sixths, 6), self_paired=idx.self_paired()
+    )
 
 
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex | None:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: signature by exact
 congruence diagonalization, modular-curve data by direct coset/orbit
 enumeration, elliptic-point counts by polynomial root counting, primality
-by trial division (or sympy above 10**12).
+by trial division (or sympy above 10**12), Heegner divisors by transforming
+every reduced form by all psi(N) coset representatives.
 """
 
 from __future__ import annotations
@@ -267,3 +268,108 @@ def psi_by_trial_division(n: int) -> int:
                 rest //= p
         p += 1
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def coset_reps_by_sweep(level: int):
+    """(label, matrix) for the left cosets of the lower-triangular-mod-N subgroup, sorted by label.
+
+    One pair per point of P^1(Z/N), psi(N) in all.  The label is the
+    canonical point of `_p1_canon`, the matrix is in SL2(Z) with first column
+    = label mod N.  Labels with first coordinate g | N, g < N, are (g, q)
+    with gcd(q, g) = 1 and q least in its orbit under the units u = 1 mod
+    N/g, so one sweep of q per divisor marks every orbit.
+    """
+    from cyclecert.arith import divisors, factor
+    from cyclecert.heegner import _egcd
+
+    n = level
+    if n == 1:
+        return (((0, 0), ((1, 0), (0, 1))),)
+    labels = [(0, 1)]
+    for g in divisors(factor(n)[0])[:-1]:
+        m = n // g
+        stabilizer = [u for u in range(1, n, m) if gcd(u, n) == 1]
+        marked = bytearray(n)
+        for q in range(n):
+            if marked[q] or gcd(q, g) != 1:
+                continue
+            labels.append((g, q))
+            for u in stabilizer:
+                marked[u * q % n] = 1
+    reps = []
+    for p, q in labels:
+        pp = p or n  # gcd(p, q) = 1, and (0, 1) is lifted to (N, 1)
+        _, y, x_neg = _egcd(pp, q)
+        assert pp * y + x_neg * q == 1
+        reps.append(((p, q), ((pp, -x_neg), (q, y))))
+    return tuple(reps)
+
+
+def labels_by_coset_scan(base, level: int, r: int, reps) -> dict:
+    """label -> matrix g over the coset representatives whose transform [a', b', c'] of base has N | a' and b' = r mod 2N."""
+    n, two_n = level, 2 * level
+    a, b, c = base.a, base.b, base.c
+    # the level conditions on base.transformed(g), tested on plain ints
+    selected = {}
+    for label, g in reps:
+        (p, q), (s, t) = g
+        if (a * p * p + b * p * s + c * s * s) % n == 0 and (
+            2 * a * p * q + b * (p * t + q * s) + 2 * c * s * t - r
+        ) % two_n == 0:
+            selected[label] = g
+    return selected
+
+
+def _hurwitz_weight_fraction(form) -> Fraction:
+    if form.b == 0 and form.a == form.c:
+        return Fraction(1, 2)
+    if form.a == form.b == form.c:
+        return Fraction(1, 3)
+    return Fraction(1)
+
+
+# automorphs of x^2 + y^2 and x^2 + xy + y^2, acting on first columns
+_AUT_FOUR = ((0, -1), (1, 0))
+_AUT_SIX = ((0, -1), (1, 1))
+
+
+def heegner_divisor_by_coset_scan(idx):
+    """Heegner divisor at `idx` by transforming every reduced form by all psi(N) coset representatives.
+
+    The automorph group of a reduced form glues cosets that give equivalent
+    forms; each class is represented by the form from its least label.
+    """
+    from cyclecert.heegner import HeegnerDivisor, _p1_canon, reduced_forms
+
+    n, disc, r = idx.level, idx.disc, idx.r
+    reps = coset_reps_by_sweep(n)
+    classes = []
+    for base in reduced_forms(-disc):
+        a, b, c = base.a, base.b, base.c
+        if b == 0 and a == c:
+            aut = _AUT_FOUR
+        elif a == b == c:
+            aut = _AUT_SIX
+        else:
+            aut = None
+        selected = labels_by_coset_scan(base, n, r, reps)
+        weight = _hurwitz_weight_fraction(base)
+        seen = set()
+        for label, g in selected.items():
+            if label in seen:
+                continue
+            orbit = {label}
+            if aut is not None:
+                (x, y), (z, w) = aut
+                p, s = g[0][0], g[1][0]
+                for _ in range(6):
+                    p, s = x * p + y * s, z * p + w * s
+                    other = _p1_canon(p, s, n)
+                    if other in selected:
+                        orbit.add(other)
+            seen |= orbit
+            classes.append((base.transformed(selected[min(orbit)]), weight))
+    classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
+    degree = sum((w for (_, w) in classes), Fraction(0))
+    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())

@@ -1,4 +1,6 @@
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +8,8 @@ import pytest
 
 from cyclecert.heegner import (
     BQForm,
-    _coset_reps,
+    _admissible_labels,
+    _crt_basis,
     _p1_canon,
     CongruenceError,
     HeegnerIndex,
@@ -18,7 +21,13 @@ from cyclecert.heegner import (
     reduced_forms,
     special_divisor_index,
 )
-from oracles import p1_canon_by_units, psi_by_trial_division
+from oracles import (
+    coset_reps_by_sweep,
+    heegner_divisor_by_coset_scan,
+    labels_by_coset_scan,
+    p1_canon_by_units,
+    psi_by_trial_division,
+)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +226,7 @@ def _check_coset_reps(n, reps):
 
 def test_coset_reps_labels_are_canonical_and_count_psi():
     for n in range(1, 301):
-        reps = _coset_reps(n)
+        reps = coset_reps_by_sweep(n)
         _check_coset_reps(n, reps)
         if n <= 60:
             assert all(p1_canon_by_units(p, q, n) == (p, q) for (p, q), _ in reps)
@@ -226,7 +235,7 @@ def test_coset_reps_labels_are_canonical_and_count_psi():
 @pytest.mark.parametrize("n", [9998, 30030])
 def test_coset_reps_count_psi_at_large_levels(n):
     # uncached call: keeps 10^5 matrices out of the process-wide cache
-    _check_coset_reps(n, _coset_reps.__wrapped__(n))
+    _check_coset_reps(n, coset_reps_by_sweep.__wrapped__(n))
 
 
 # literal class representatives: a change in which form represents a class,
@@ -248,10 +257,59 @@ def test_class_representatives_pinned(level, disc, r, classes):
     assert [(f.a, f.b, f.c, w) for f, w in div.classes] == classes
 
 
+def test_classes_match_coset_scan_oracle_up_to_level_300():
+    # a seeded sample of indices per level: the discriminants with a
+    # weight-1/2 or weight-1/3 class, and random ones, some sharing a prime with N
+    rng = random.Random(20240601)
+    discs = [d for d in range(-3, -160, -1) if d % 4 in (0, 1)]
+    for n in range(1, 301):
+        shared = [d for d in discs if gcd(d, n) > 1]
+        sample = [-3, -4, -12, -16] + rng.sample(discs, 3) + rng.sample(shared, min(2, len(shared)))
+        for disc in sample:
+            rs = heegner_r_values(n, disc)
+            if rs:
+                idx = HeegnerIndex(n, disc, rng.choice(rs))
+                assert enumerate_heegner_divisor(idx) == heegner_divisor_by_coset_scan(idx)
+
+
+def test_classes_match_coset_scan_oracle_at_level_9998():
+    for r in heegner_r_values(9998, -7):
+        idx = HeegnerIndex(9998, -7, r)
+        assert enumerate_heegner_divisor(idx) == heegner_divisor_by_coset_scan(idx)
+
+
+def test_labels_match_coset_scan_oracle_at_level_30030():
+    # the full scan holds about 30 MB of coset matrices and takes over a
+    # second, so two seeded reduced forms are scanned and the degree is
+    # checked against H(1559) = 51
+    reps = coset_reps_by_sweep.__wrapped__(30030)
+    basis = _crt_basis(30030)
+    forms = reduced_forms(1559)
+    for form in random.Random(30030).sample(forms, 2):
+        assert _admissible_labels(form, 30030, 599, basis) == set(labels_by_coset_scan(form, 30030, 599, reps))
+    div = enumerate_heegner_divisor(HeegnerIndex(30030, -1559, 599))
+    assert div.degree == hurwitz_class_number(1559) == 51
+
+
 def test_enumeration_at_level_600_is_fast_cold():
-    _coset_reps.cache_clear()
     t0 = time.perf_counter()
     div = enumerate_heegner_divisor(HeegnerIndex(600, -1511, 133))
     elapsed = time.perf_counter() - t0
     assert div.degree == hurwitz_class_number(1511)
     assert elapsed < 0.5
+
+
+def test_enumeration_at_level_30030_is_fast_and_keeps_no_memory():
+    # timed under tracemalloc, which only slows the call down; what stays
+    # allocated afterwards includes the returned divisor
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        div = enumerate_heegner_divisor(HeegnerIndex(30030, -1559, 599))
+        elapsed = time.perf_counter() - t0
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert div.degree == 51
+    assert elapsed < 0.1
+    assert held < 4 * 2**20

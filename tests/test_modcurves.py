@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from cyclecert.arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, is_prime
 from cyclecert.modcurves import (
     LevelBoundError,
     cover_degree_over_x0,
@@ -122,6 +123,13 @@ def test_fricke_quotient_genus_table():
         assert fricke_quotient_genus(p) == 1
     for p in GENUS_TWO_PLUS_PRIMES:
         assert fricke_quotient_genus(p) >= 2
+
+
+def test_a1_primes_are_exactly_the_positive_genus_fricke_quotients():
+    # the A1 clause rests on a listed set of primes; the Fricke quotient of
+    # X_0(p) has positive genus at exactly those primes, for every p <= 2000
+    for p in filter(is_prime, range(2, 2001)):
+        assert (fricke_quotient_genus(p) >= 1) == (p in LISTED_PRIMES or p > LARGE_PRIME_FLOOR), p
 
 
 def test_fricke_riemann_hurwitz_consistency():
