@@ -103,7 +103,9 @@ def certify(
     try:
         if cofactor > 1:
             raise WitnessIndeterminate("divisor scan limited by incomplete factorization")
-        hit = witness_minus_rank1(n, mode=mode, client=client, divisors=divisors(known))
+        # the offline scan walks the local levels and needs no divisor list
+        divs = divisors(known) if mode == "online" else None
+        hit = witness_minus_rank1(n, mode=mode, client=client, divisors=divs)
         if hit is not None:
             level, record = hit
             fired.append(

@@ -3,12 +3,14 @@
 Records carry the level, an opaque label, the sign of the functional equation
 and the analytic rank.  The online path is rate limited, deduplicates
 concurrent requests for the same level, and writes the cache atomically;
-the offline path reads the cache and then the bundled fixture snapshot.
+the offline path reads the cache and then the bundled fixture snapshot,
+which is listed once per process and parsed one level at a time on first use.
 Corrupt cache files are quarantined, never deleted.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -95,14 +97,40 @@ def _fixture_dir():
     return resources.files(__package__) / "fixtures"
 
 
-def fixture_levels() -> set[int]:
-    """Levels covered by the bundled fixture snapshot."""
-    out = set()
-    for entry in _fixture_dir().iterdir():
-        name = entry.name
+def _levels_named(names) -> set[int]:
+    """Levels M of the `level_<M>.json` file names; any other name is skipped."""
+    levels = set()
+    for name in names:
         if name.startswith("level_") and name.endswith(".json"):
-            out.add(int(name[len("level_") : -len(".json")]))
-    return out
+            try:
+                levels.add(int(name[len("level_") : -len(".json")]))
+            except ValueError:
+                continue
+    return levels
+
+
+def _fixture_records(data: bytes, level: int) -> list[NewformRecord]:
+    try:
+        raws = json.loads(data)["records"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
+    return [_normalize_record(raw, level, "fixture", i) for i, raw in enumerate(raws)]
+
+
+# The bundled snapshot is part of the installed package, so it is listed once
+# and each level is parsed on first use; the cache dir and a fixtures override
+# are user-writable and are read on every call instead.
+@functools.lru_cache(maxsize=1)
+def fixture_levels() -> frozenset[int]:
+    """Levels covered by the bundled fixture snapshot."""
+    return frozenset(_levels_named(entry.name for entry in _fixture_dir().iterdir()))
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
+    # called for levels in fixture_levels() only, which bounds the cache
+    data = (_fixture_dir() / ("level_%d.json" % level)).read_bytes()
+    return tuple(_fixture_records(data, level))
 
 
 class NewformClient:
@@ -232,39 +260,26 @@ class NewformClient:
     # -- fixtures ----------------------------------------------------------
 
     def _read_fixture(self, level: int) -> list[NewformRecord] | None:
-        if self.fixtures_dir:
-            path = os.path.join(self.fixtures_dir, "level_%d.json" % level)
-            if not os.path.exists(path):
-                return None
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        else:
-            entry = _fixture_dir() / ("level_%d.json" % level)
-            if not entry.is_file():
-                return None
-            payload = json.loads(entry.read_text(encoding="utf-8"))
-        return [
-            _normalize_record(raw, level, "fixture", i)
-            for i, raw in enumerate(payload["records"])
-        ]
+        if not self.fixtures_dir:
+            return list(_bundled_records(level)) if level in fixture_levels() else None
+        path = os.path.join(self.fixtures_dir, "level_%d.json" % level)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return None
+        return _fixture_records(data, level)
 
     def available_offline_levels(self) -> set[int]:
-        levels = set()
-        if self.fixtures_dir:
-            if os.path.isdir(self.fixtures_dir):
-                for name in os.listdir(self.fixtures_dir):
-                    if name.startswith("level_") and name.endswith(".json"):
-                        levels.add(int(name[len("level_") : -len(".json")]))
+        if not self.fixtures_dir:
+            levels = set(fixture_levels())
+        elif os.path.isdir(self.fixtures_dir):
+            levels = _levels_named(os.listdir(self.fixtures_dir))
         else:
-            levels |= fixture_levels()
+            levels = set()
         cache_root = os.path.join(self.cache_dir, "newforms") if self.cache_dir else None
         if cache_root and os.path.isdir(cache_root):
-            for name in os.listdir(cache_root):
-                if name.startswith("level_") and name.endswith(".json"):
-                    try:
-                        levels.add(int(name[len("level_") : -len(".json")]))
-                    except ValueError:
-                        continue
+            levels |= _levels_named(os.listdir(cache_root))
         return levels
 
     # -- public API --------------------------------------------------------
@@ -324,30 +339,35 @@ def witness_minus_rank1(
 ) -> tuple[int, NewformRecord] | None:
     """First divisor level of n carrying an odd-sign rank-1 record, with the record.
 
-    Divisors are scanned in increasing order; a hit at level M certifies every
+    Levels are scanned in increasing order; a hit at level M certifies every
     multiple of M.  Rank exactly 1 is required: odd-sign forms of rank 3 or
-    higher have vanishing central derivative and are not witnesses.  In
-    offline mode levels with no local data are skipped (they answer "no
-    records").  Fetch failures raise WitnessIndeterminate, which is distinct
+    higher have vanishing central derivative and are not witnesses.  Offline
+    mode walks the levels that have local data (cache and fixtures) and keeps
+    those dividing n, so it needs no factorization of n; levels with no local
+    data answer "no records" anyway.  Online mode scans every divisor of n:
+    `divisors` when given, else those of a complete factorization.  Fetch
+    failures and malformed data raise WitnessIndeterminate, which is distinct
     from a definite None.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     client = client or default_client()
-    if divisors is None:
-        factors, cofactor = arith.factor(n)
-        if cofactor > 1:
-            raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
-        divisors = arith.divisors(factors)
-    scan = sorted(divisors)
     if mode == "offline":
-        available = client.available_offline_levels()
-        scan = [m for m in scan if m in available]
+        scan = [m for m in sorted(client.available_offline_levels()) if n % m == 0]
+    else:
+        if divisors is None:
+            factors, cofactor = arith.factor(n)
+            if cofactor > 1:
+                raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
+            divisors = arith.divisors(factors)
+        scan = sorted(divisors)
     for m in scan:
         try:
             records = client.fetch_newforms(m, mode=mode)
         except TransientFetchError as exc:
             raise WitnessIndeterminate("fetch failed at level %d: %s" % (m, exc)) from exc
+        except PayloadError as exc:
+            raise WitnessIndeterminate("malformed data at level %d: %s" % (m, exc)) from exc
         hits = [r for r in records if r.fricke_sign == -1 and r.analytic_rank == 1]
         if hits:
             return m, min(hits, key=lambda r: r.label)

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: signature by exact
 congruence diagonalization, modular-curve data by direct coset/orbit
 enumeration, elliptic-point counts by polynomial root counting, primality
 by trial division (or sympy above 10**12), Heegner divisors by transforming
-every reduced form by all psi(N) coset representatives.
+every reduced form by all psi(N) coset representatives, and the newform
+witness by scanning every divisor of n.
 """
 
 from __future__ import annotations
@@ -373,3 +374,39 @@ def heegner_divisor_by_coset_scan(idx):
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
     degree = sum((w for (_, w) in classes), Fraction(0))
     return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())
+
+
+def witness_by_divisor_scan(n: int, mode: str = "offline", client=None, divisors=None):
+    """First divisor level of n with an odd-sign rank-1 record, by listing every divisor of n.
+
+    Divisors are scanned in increasing order; a hit at level M certifies every
+    multiple of M.  Rank exactly 1 is required: odd-sign forms of rank 3 or
+    higher have vanishing central derivative and are not witnesses.  In
+    offline mode levels with no local data are skipped (they answer "no
+    records").  Fetch failures raise WitnessIndeterminate, which is distinct
+    from a definite None.
+    """
+    from cyclecert import arith
+    from cyclecert.newforms import TransientFetchError, WitnessIndeterminate, default_client
+
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    client = client or default_client()
+    if divisors is None:
+        factors, cofactor = arith.factor(n)
+        if cofactor > 1:
+            raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
+        divisors = arith.divisors(factors)
+    scan = sorted(divisors)
+    if mode == "offline":
+        available = client.available_offline_levels()
+        scan = [m for m in scan if m in available]
+    for m in scan:
+        try:
+            records = client.fetch_newforms(m, mode=mode)
+        except TransientFetchError as exc:
+            raise WitnessIndeterminate("fetch failed at level %d: %s" % (m, exc)) from exc
+        hits = [r for r in records if r.fricke_sign == -1 and r.analytic_rank == 1]
+        if hits:
+            return m, min(hits, key=lambda r: r.label)
+    return None

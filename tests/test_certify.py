@@ -1,5 +1,11 @@
+import json
+import random
+import time
+import tracemalloc
+
 import pytest
 
+import cyclecert.newforms as newforms_mod
 from cyclecert.certify import (
     CLAUSE_A1,
     CLAUSE_A2,
@@ -12,8 +18,9 @@ from cyclecert.certify import (
     explain,
     large_level_bound,
 )
+from cyclecert.arith import factor
 from cyclecert.modcurves import cover_profile
-from cyclecert.newforms import NewformClient, TransientFetchError
+from cyclecert.newforms import NewformClient, TransientFetchError, fixture_levels
 
 PINNED_BOUND = 48957501300891817233600
 
@@ -151,3 +158,103 @@ def test_explain_mentions_clause_and_witnesses():
 def test_rejects_nonpositive_level():
     with pytest.raises(ValueError):
         certify(0)
+
+
+def test_malformed_newform_data_degrades_to_arithmetic_clauses(tmp_path):
+    for content in ('{"records": [{"label": "1.2.a.a", "analytic_rank": 1}]}', "{not json"):
+        (tmp_path / "level_1.json").write_text(content, encoding="utf-8")
+        client = NewformClient(fixtures_dir=str(tmp_path))
+        cert = certify(74, newform_source=client)
+        assert cert.verdict == VERDICT_PROVEN and cert.clause == CLAUSE_A1
+        assert "analytic clause not evaluated: malformed data at level 1" in cert.justification
+        unknown = certify(35, newform_source=client)
+        assert unknown.verdict == VERDICT_UNKNOWN
+        assert "analytic clause not evaluated: malformed data at level 1" in unknown.justification
+
+
+def test_stray_fixture_name_does_not_fail_certify(tmp_path):
+    (tmp_path / "level_abc.json").write_text(json.dumps({"records": []}), encoding="utf-8")
+    client = NewformClient(fixtures_dir=str(tmp_path))
+    cert = certify(74, newform_source=client)
+    assert cert.clause == CLAUSE_A1 and "not evaluated" not in cert.justification
+    assert certify(35, newform_source=client).verdict == VERDICT_UNKNOWN
+
+
+# With the bundled snapshot the unknown levels are exactly the divisors of the
+# bound: its primes from 11 up are the primes where the Fricke quotient of
+# X0(p) has genus 0, and the snapshot's odd-sign rank-1 records at 128, 243,
+# 125 and 343 sit one exponent above the bound's powers of 2, 3, 5 and 7.
+_BOUND_FACTORS = factor(PINNED_BOUND)[0]
+_MINIMAL_NON_DIVISORS = (
+    [p ** (e + 1) for p, e in _BOUND_FACTORS.items()]
+    + [37, 43, 53, 61, 67]
+)
+
+
+def _random_divisor_of_bound(rng):
+    n = 1
+    for p, e in _BOUND_FACTORS.items():
+        n *= p ** rng.randint(0, e)
+    return n
+
+
+def _assert_unknown_iff_divides_bound(n):
+    assert (certify(n).verdict == VERDICT_UNKNOWN) == (PINNED_BOUND % n == 0), n
+
+
+def test_exceptional_set_minimal_non_divisors():
+    assert sorted(_MINIMAL_NON_DIVISORS) == sorted(
+        [2**7, 3**5, 5**3, 7**3, 37, 43, 53, 61, 67]
+        + [p * p for p in (11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)]
+    )
+    _assert_unknown_iff_divides_bound(PINNED_BOUND)
+    rng = random.Random(20240709)
+    for q in _MINIMAL_NON_DIVISORS:
+        _assert_unknown_iff_divides_bound(q)
+        for _ in range(20):
+            cofactor = _random_divisor_of_bound(rng)
+            while q * cofactor > PINNED_BOUND:
+                cofactor = _random_divisor_of_bound(rng)
+            _assert_unknown_iff_divides_bound(q * cofactor)
+
+
+def test_exceptional_set_seeded_divisors_of_bound():
+    rng = random.Random(20240710)
+    for _ in range(2000):
+        n = _random_divisor_of_bound(rng)
+        assert PINNED_BOUND % n == 0
+        _assert_unknown_iff_divides_bound(n)
+
+
+def test_exceptional_set_seeded_smooth_non_divisors():
+    rng = random.Random(20240711)
+    checked = 0
+    while checked < 2000:
+        # a divisor of the bound, then one or more primes up to 71 pushed one
+        # exponent past the bound's
+        n = _random_divisor_of_bound(rng)
+        bumped = [rng.choice(_MINIMAL_NON_DIVISORS)]
+        bumped += [q for q in _MINIMAL_NON_DIVISORS if rng.random() < 0.1]
+        for q in bumped:
+            n *= q
+        if n > PINNED_BOUND or PINNED_BOUND % n == 0:
+            continue
+        _assert_unknown_iff_divides_bound(n)
+        checked += 1
+
+
+def test_certify_at_the_bound_is_fast_and_small():
+    # cold: the snapshot is listed and parsed again inside the measurement
+    fixture_levels.cache_clear()
+    newforms_mod._bundled_records.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        cert = certify(PINNED_BOUND)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == VERDICT_UNKNOWN
+    assert elapsed < 0.1
+    assert peak < 4 * 2**20

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from cyclecert.cli import (
     EXIT_ERROR,
@@ -149,3 +150,22 @@ def test_every_fixture_level_serves_valid_json(capsys):
     for level in sorted(fixture_levels()):
         code, payload = run_json(capsys, "newforms", str(level))
         assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("level_1.json", '{"records": [{"label": "1.2.a.a", "analytic_rank": 1}]}'),
+        ("level_1.json", "{not json"),
+        ("level_abc.json", '{"records": []}'),
+    ],
+)
+def test_certify_survives_malformed_fixture_override(tmp_path, capsys, name, content):
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    code, payload = run_json(capsys, "certify", "74", "--fixtures", str(tmp_path))
+    assert code == EXIT_OK
+    assert payload["clause"] == "A1_prime"
+    code, payload = run_json(capsys, "certify", "35", "--fixtures", str(tmp_path))
+    assert code == EXIT_UNKNOWN
+    malformed = name == "level_1.json"
+    assert ("analytic clause not evaluated" in payload["justification"]) == malformed

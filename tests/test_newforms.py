@@ -1,5 +1,8 @@
+import builtins
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -7,9 +10,11 @@ import urllib.error
 import urllib.request
 
 import pytest
+from oracles import witness_by_divisor_scan
 
 import cyclecert
 import cyclecert.newforms as newforms_mod
+from cyclecert.certify import certify
 from cyclecert.newforms import (
     NewformClient,
     NewformRecord,
@@ -311,3 +316,148 @@ def test_fixture_override_directory(tmp_path):
     assert len(records) == 1 and records[0].source == "fixture"
     # built-in fixtures are no longer visible through this client
     assert client.fetch_newforms(37, mode="offline") == []
+
+
+def _write_level(directory, level, records, schema_version=None):
+    payload = {"level": level, "records": records}
+    if schema_version is not None:
+        payload["schema_version"] = schema_version
+    path = directory / ("level_%d.json" % level)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def _minus_rank1(label):
+    return {"label": label, "weight": 2, "fricke_sign": -1, "analytic_rank": 1}
+
+
+def _cache_client(tmp_path, monkeypatch):
+    monkeypatch.delenv("CACHE_DIR", raising=False)
+    (tmp_path / "newforms").mkdir()
+    return NewformClient(cache_dir=str(tmp_path)), tmp_path / "newforms"
+
+
+SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def test_offline_scan_matches_divisor_scan_oracle_up_to_3000():
+    for n in range(1, 3001):
+        assert witness_minus_rank1(n) == witness_by_divisor_scan(n), n
+
+
+def test_offline_scan_matches_divisor_scan_oracle_on_smooth_levels():
+    rng = random.Random(20240707)
+    for _ in range(300):
+        n = 1
+        while True:
+            p = rng.choice(SMOOTH_PRIMES)
+            if n * p >= 10**15:
+                break
+            n *= p
+            if rng.random() < 0.05:
+                break
+        assert witness_minus_rank1(n) == witness_by_divisor_scan(n), n
+
+
+def test_offline_scan_visits_cache_levels_outside_the_snapshot(tmp_path, monkeypatch):
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    _write_level(cache, 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
+    assert 9001 not in fixture_levels()
+    for n in (9001, 2 * 9001, 6 * 9001, 35 * 9001, 37 * 9001, 128 * 9001, 6, 37, 74):
+        found = witness_minus_rank1(n, client=client)
+        assert found == witness_by_divisor_scan(n, client=client), n
+    level, record = witness_minus_rank1(6 * 9001, client=client)
+    assert (level, record.label, record.source) == (9001, "9001.2.a.a", "cache")
+    assert witness_minus_rank1(37 * 9001, client=client)[0] == 37
+
+
+_MALFORMED_FIXTURES = {
+    "record_without_sign": b'{"records": [{"label": "1.2.a.a", "analytic_rank": 1}]}',
+    "not_json": b"{not json",
+    "not_utf8": b'{"records": [], "note": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("content", sorted(_MALFORMED_FIXTURES))
+def test_malformed_fixture_override_makes_the_witness_indeterminate(tmp_path, content):
+    (tmp_path / "level_1.json").write_bytes(_MALFORMED_FIXTURES[content])
+    client = NewformClient(fixtures_dir=str(tmp_path))
+    with pytest.raises(PayloadError):
+        client.fetch_newforms(1, mode="offline")
+    with pytest.raises(WitnessIndeterminate):
+        witness_minus_rank1(74, client=client)
+
+
+def test_stray_fixture_override_name_is_skipped(tmp_path):
+    (tmp_path / "level_abc.json").write_text("{}", encoding="utf-8")
+    _write_level(tmp_path, 37, [_minus_rank1("37.2.a.a")])
+    client = NewformClient(fixtures_dir=str(tmp_path))
+    assert client.available_offline_levels() == {37}
+    assert witness_minus_rank1(74, client=client)[0] == 37
+
+
+def test_bundled_cache_holds_snapshot_levels_only():
+    for n in range(1, 2001):
+        certify(n)
+    rng = random.Random(20240708)
+    for _ in range(200):
+        certify(rng.randrange(10**6, 10**18))
+    NewformClient().fetch_newforms(9973, mode="offline")
+    assert newforms_mod._bundled_records.cache_info().currsize <= len(fixture_levels())
+
+
+def test_second_fetch_of_a_bundled_level_opens_no_file(monkeypatch):
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    newforms_mod._bundled_records.cache_clear()
+    client = NewformClient()
+    first = client.fetch_newforms(37, mode="offline")
+    assert any(path.endswith("level_37.json") for path in opened)
+    del opened[:]
+    assert NewformClient().fetch_newforms(37, mode="offline") == first
+    assert opened == []
+
+
+def test_mutating_a_returned_list_leaves_the_next_fetch_unchanged():
+    client = NewformClient()
+    records = client.fetch_newforms(37, mode="offline")
+    expected = list(records)
+    records.clear()
+    records.append("junk")
+    assert client.fetch_newforms(37, mode="offline") == expected
+    assert NewformClient().fetch_newforms(37, mode="offline") == expected
+
+
+def test_cache_entry_wins_over_the_loaded_snapshot(tmp_path, monkeypatch):
+    bundled = NewformClient().fetch_newforms(37, mode="offline")
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    _write_level(cache, 37, [_minus_rank1("37.2.a.z")], schema_version=1)
+    records = client.fetch_newforms(37, mode="offline")
+    assert [(r.label, r.source) for r in records] == [("37.2.a.z", "cache")]
+    assert NewformClient().fetch_newforms(37, mode="offline") == bundled
+
+
+def test_corrupt_cache_is_quarantined_over_the_loaded_snapshot(tmp_path, monkeypatch):
+    bundled = NewformClient().fetch_newforms(37, mode="offline")
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    bad = cache / "level_37.json"
+    bad.write_text("{not json", encoding="utf-8")
+    assert client.fetch_newforms(37, mode="offline") == bundled
+    assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
+
+
+def test_fixture_override_is_reread_on_every_call(tmp_path):
+    client = NewformClient(fixtures_dir=str(tmp_path))
+    _write_level(tmp_path, 9001, [_minus_rank1("9001.2.a.a")])
+    assert [r.label for r in client.fetch_newforms(9001, mode="offline")] == ["9001.2.a.a"]
+    _write_level(tmp_path, 9001, [_minus_rank1("9001.2.a.b")])
+    assert [r.label for r in client.fetch_newforms(9001, mode="offline")] == ["9001.2.a.b"]
+    assert [r.label for r in NewformClient(fixtures_dir=str(tmp_path)).fetch_newforms(
+        9001, mode="offline")] == ["9001.2.a.b"]
