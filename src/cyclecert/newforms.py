@@ -210,8 +210,9 @@ class NewformClient:
                 _normalize_record(raw, level, "cache", i)
                 for i, raw in enumerate(payload["records"])
             ]
-        except FileNotFoundError:
-            # never cached, or quarantined by another process
+        except OSError:
+            # never cached, quarantined by another process, or not a readable
+            # file (a directory, no permission): a miss, left where it is
             return None
         except (ValueError, KeyError, TypeError, PayloadError):
             self._quarantine(path)
@@ -268,6 +269,9 @@ class NewformClient:
                 data = fh.read()
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            # present but unreadable (a directory, no permission)
+            raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
         return _fixture_records(data, level)
 
     def available_offline_levels(self) -> set[int]:

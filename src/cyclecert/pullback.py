@@ -6,6 +6,12 @@ the cusp class Cusp.  The pullback of an ambient generator Z*(m, mu) lands in
 this algebra with a cusp coefficient that is only defined up to an integer;
 that ambiguity is carried as a flag and never guessed, and all round-trip
 comparisons are on Heegner coefficients alone.
+
+Keys are validated once, where they enter: `decompose_heegner` checks its
+target, `DivisorClass` and `AmbientGenerator` check what they are given.
+Inside, a ladder rung's congruence m = q(mu) mod 1 is checked in integers on
+4N*m, and pullbacks are summed on integer keys (4N*m0, r1); `Fraction` keys
+appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -14,11 +20,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .heegner import hurwitz_class_number, special_divisor_index
-from .lattices import DiscElement, q_mod1
+from .heegner import HeegnerIndex, hurwitz_class_number, special_divisor_index
+from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
 
 HeegKey = tuple[Fraction, int]
+
+
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+
+
+def _checked_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
+    """Heegner index of the key (m0, r1); raise if it indexes the empty divisor."""
+    idx = special_divisor_index(level, m0, r1)
+    if idx is None:
+        raise ValueError("key %s indexes an empty divisor" % ((m0, r1),))
+    return idx
 
 
 @dataclass
@@ -38,17 +57,13 @@ class DivisorClass:
     cusp_ambiguous: bool = False
 
     def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError("level must be a positive integer")
+        _check_level(self.level)
         cleaned: dict[HeegKey, Fraction] = {}
         for (m0, r1), coeff in self.heeg_coeffs.items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            idx = special_divisor_index(self.level, m0, r1)
-            if idx is None:
-                raise ValueError("key %s indexes an empty divisor" % ((m0, r1),))
-            key = (Fraction(m0), idx.r)
+            key = (Fraction(m0), _checked_index(self.level, m0, r1).r)
             cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
         self.heeg_coeffs = {k: v for k, v in cleaned.items() if v != 0}
         self.omega_coeff = Fraction(self.omega_coeff)
@@ -103,12 +118,26 @@ class DivisorClass:
         return not self.heeg_coeffs and self.omega_coeff == 0 and self.cusp_coeff == 0
 
 
+def _check_congruence(four_nm: Fraction | int, mu: DiscElement) -> None:
+    """Raise unless m = four_nm/4N satisfies m = q(mu) mod 1.
+
+    With q(mu) = (r2**2 - r1**2)/4N mod 1 the condition is the integer
+    congruence four_nm + r1**2 - r2**2 = 0 mod 4N, which also requires 4N*m
+    to be an integer.
+    """
+    four_n = 4 * mu.level
+    if (four_nm + mu.r1 * mu.r1 - mu.r2 * mu.r2) % four_n:
+        raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (Fraction(four_nm, four_n), mu))
+
+
 @dataclass(frozen=True)
 class AmbientGenerator:
     """Generator Z*(m, mu) of the divisor algebra on the product surface.
 
     (0, 0) denotes the inverse tautological-square class of the surface;
-    (0, mu) with mu nonzero is the zero divisor.
+    (0, mu) with mu nonzero is the zero divisor.  Every generator also keeps
+    the integer 4N*m for the pullback's splitting loop; it takes no part in
+    equality, hashing or repr.
     """
 
     m: Fraction
@@ -116,11 +145,20 @@ class AmbientGenerator:
 
     def __post_init__(self) -> None:
         m = Fraction(self.m)
-        object.__setattr__(self, "m", m)
         if m < 0:
             raise ValueError("m must be nonnegative")
-        if (m - q_mod1(self.mu, "full")) % 1 != 0:
-            raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (m, self.mu))
+        four_nm = m * 4 * self.mu.level
+        _check_congruence(four_nm, self.mu)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_four_nm", four_nm.numerator)
+
+    @classmethod
+    def _rung(cls, four_nm: int, mu: DiscElement) -> "AmbientGenerator":
+        """Z*(four_nm/4N, mu) for an integer four_nm >= 0, with the public constructor's check."""
+        _check_congruence(four_nm, mu)
+        out = cls.__new__(cls)
+        out.__dict__.update(m=Fraction(four_nm, 4 * mu.level), mu=mu, _four_nm=four_nm)
+        return out
 
     @property
     def level(self) -> int:
@@ -152,12 +190,11 @@ def _add_pullback(
     mod 2N with s**2 <= 4N*m, giving 4N*m0 = 4N*m - s**2; s and -s both
     count, which is the scalar line's representation count.
     """
-    r1, r2 = gen.mu.r1, gen.mu.r2
-    if gen.m == 0:
+    four_nm = gen._four_nm
+    if four_nm == 0:
         return -2 * coeff if gen.mu.is_zero() else 0
+    r1, r2 = gen.mu.r1, gen.mu.r2
     two_n = 2 * gen.level
-    four_nm, rem = divmod(gen.m.numerator * 2 * two_n, gen.m.denominator)
-    assert rem == 0  # m = q(mu) mod 1 forces denominator | 4N
     smax = isqrt(four_nm)
     omega = 0
     for s in range(-smax + (r2 + smax) % two_n, smax + 1, two_n):
@@ -196,7 +233,7 @@ def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     """
     heeg: dict[tuple[int, int], int] = {}
     omega = _add_pullback(gen, 1, heeg)
-    return _divisor_class(gen.level, heeg, omega, gen.m != 0)
+    return _divisor_class(gen.level, heeg, omega, gen._four_nm != 0)
 
 
 _INVERSE_THETA: dict[int, list[int]] = {}
@@ -234,29 +271,29 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     coefficient of Z*(m0 - j, (r1, 0)) is therefore the j-th coefficient of
     1/theta(q^N), an integer that depends only on N and j, with leading
     coefficient 1.  The Z*(0, 0) coefficient is chosen so the Omega parts
-    cancel, and the cusp part stays ambiguous.  The round trip through
-    `verify_decomposition` is linear in the number of pullback terms it sums.
+    cancel, and the cusp part stays ambiguous.  The target key is validated
+    once, on entry; each rung is built from its integer 4N*m, with the
+    congruence m = q(mu) mod 1 checked as 4N*m + r1**2 = 0 mod 4N.  The round
+    trip through `verify_decomposition` is linear in the number of pullback
+    terms it sums.
     """
-    idx = special_divisor_index(level, m0, r1)
-    if idx is None:
-        raise ValueError("key %s indexes an empty divisor" % ((m0, r1),))
+    idx = _checked_index(level, m0, r1)
     n, r1, four_nm = level, idx.r, -idx.disc
     four_n = 4 * n
     depth = -(-four_nm // four_n)
     coeffs = _inverse_theta(n, depth)
     mu = DiscElement(level=n, r1=r1, r2=0)
+    rung = AmbientGenerator._rung
     terms: list[tuple[AmbientGenerator, Fraction]] = [
-        (AmbientGenerator(m=Fraction(four_nm - four_n * j, four_n), mu=mu), Fraction(c))
-        for j, c in enumerate(coeffs[:depth])
-        if c
+        (rung(four_nm - four_n * j, mu), Fraction(c)) for j, c in enumerate(coeffs[:depth]) if c
     ]
     if r1 == 0:
         # each rung m = N*t**2 pulls back with -2*Omega per unit coefficient,
-        # and Z*(0, 0) pulls back to -2*Omega; m0 is an integer here
+        # and Z*(0, 0) pulls back to -2*Omega; m0 is an integer here and mu = 0
         m0_int = four_nm // four_n
         lam0 = -sum(coeffs[m0_int - n * t * t] for t in range(1, isqrt(m0_int // n) + 1))
         if lam0:
-            terms.append((AmbientGenerator(m=Fraction(0), mu=DiscElement(level=n, r1=0, r2=0)), Fraction(lam0)))
+            terms.append((rung(0, mu), Fraction(lam0)))
     return PullbackDecomposition(
         level=n,
         target=(Fraction(four_nm, four_n), r1),
@@ -265,30 +302,51 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     )
 
 
-def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
-    """Pull back every generator in the decomposition and sum with its coefficients."""
+def _sum_pullbacks(
+    decomp: PullbackDecomposition,
+) -> tuple[dict[tuple[int, int], int | Fraction], int | Fraction, bool]:
+    """Heegner part on (4N*m0, r1) keys, Omega part and cusp ambiguity of the summed terms."""
     heeg: dict[tuple[int, int], int | Fraction] = {}
     omega: int | Fraction = 0
     ambiguous = False
     for gen, coeff in decomp.terms:
         if gen.level != decomp.level:
             raise ValueError("cannot add classes at different levels")
-        coeff = Fraction(coeff)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
         omega += _add_pullback(gen, coeff.numerator if coeff.denominator == 1 else coeff, heeg)
-        ambiguous = ambiguous or gen.m != 0
+        ambiguous = ambiguous or gen._four_nm != 0
+    return heeg, omega, ambiguous
+
+
+def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
+    """Pull back every generator in the decomposition and sum with its coefficients."""
+    heeg, omega, ambiguous = _sum_pullbacks(decomp)
     return _divisor_class(decomp.level, heeg, omega, ambiguous)
 
 
 def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fraction]:
     """Residual of the round trip on Heegner coefficients; empty means exact.
 
-    Omega and cusp coefficients are excluded from the comparison: the cusp
-    coefficient of a pullback is undetermined, and the two classes are
-    proportional on the curves in question.
+    The pulled-back terms are summed on integer keys (4N*m0, r1), and the
+    target is subtracted there.  As for a `DivisorClass`, every key with a
+    nonzero achieved coefficient is validated first, once; `Fraction` keys and
+    values are built only for the entries returned.  Omega and cusp
+    coefficients are excluded from the comparison: the cusp coefficient of a
+    pullback is undetermined, and the two classes are proportional on the
+    curves in question.
     """
-    achieved = apply_decomposition(decomp).heeg_vector()
-    achieved[decomp.target] = achieved.get(decomp.target, Fraction(0)) - 1
-    return {k: v for k, v in achieved.items() if v != 0}
+    level = decomp.level
+    _check_level(level)
+    four_n = 4 * level
+    heeg, _, _ = _sum_pullbacks(decomp)
+    for (k, r1), c in heeg.items():
+        if c:
+            _checked_index(level, Fraction(k, four_n), r1)
+    m0, r1 = decomp.target
+    target = (Fraction(m0) * four_n, r1)
+    heeg[target] = heeg.get(target, 0) - 1
+    return {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}
 
 
 def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorClass:

@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: signature by exact
 congruence diagonalization, modular-curve data by direct coset/orbit
 enumeration, elliptic-point counts by polynomial root counting, primality
 by trial division (or sympy above 10**12), Heegner divisors by transforming
-every reduced form by all psi(N) coset representatives, and the newform
-witness by scanning every divisor of n.
+every reduced form by all psi(N) coset representatives, the newform
+witness by scanning every divisor of n, the pullback of a generator by
+visiting every candidate splitting, and the round-trip residual through a
+validated `DivisorClass`.
 """
 
 from __future__ import annotations
@@ -220,6 +222,46 @@ def inverse_theta_coeffs(level: int, length: int) -> list[int]:
         inv.append(rhs / theta[0])
     assert all(c.denominator == 1 for c in inv)
     return [int(c) for c in inv]
+
+
+def pullback_by_splitting(level: int, four_nm: int, r1: int, r2: int) -> tuple[dict, int]:
+    """Heegner part on (4N*m0, r1) keys and Omega part of the pullback of Z*(4N*m/4N, (r1, r2)).
+
+    Every integer s with s**2 <= 4N*m is tried, and each one with
+    s = r2 mod 2N is one splitting 4N*m0 = 4N*m - s**2; s = +-sqrt(4N*m)
+    contributes -Omega when r1 = 0.  At m = 0 the pullback is -2*Omega at
+    mu = 0 and zero otherwise.
+    """
+    two_n = 2 * level
+    r1, r2 = r1 % two_n, r2 % two_n
+    if four_nm == 0:
+        return {}, (-2 if r1 == 0 and r2 == 0 else 0)
+    heeg: dict[tuple[int, int], int] = {}
+    omega = 0
+    bound = isqrt(four_nm)
+    for s in range(-bound - 1, bound + 2):
+        if s * s > four_nm or (s - r2) % two_n:
+            continue
+        rest = four_nm - s * s
+        if rest:
+            heeg[(rest, r1)] = heeg.get((rest, r1), 0) + 1
+        elif r1 == 0:
+            omega -= 1
+    return heeg, omega
+
+
+def round_trip_by_divisor_class(decomp):
+    """Round-trip residual of a decomposition through a validated `DivisorClass`.
+
+    The library's earlier `verify_decomposition`, verbatim: the achieved
+    class is built with `Fraction` keys, each validated, and the target is
+    subtracted from its Heegner vector.
+    """
+    from cyclecert.pullback import apply_decomposition
+
+    achieved = apply_decomposition(decomp).heeg_vector()
+    achieved[decomp.target] = achieved.get(decomp.target, Fraction(0)) - 1
+    return {k: v for k, v in achieved.items() if v != 0}
 
 
 @functools.lru_cache(maxsize=None)

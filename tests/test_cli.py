@@ -13,6 +13,12 @@ from cyclecert.cli import (
 )
 
 SCHEMA = json.loads(schema_text())
+# the schema is checked once, in test_schema_is_valid, not on every payload
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def test_schema_is_valid():
+    type(VALIDATOR).check_schema(SCHEMA)
 
 
 def run(capsys, *argv):
@@ -24,7 +30,7 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     payload = json.loads(out)
-    jsonschema.validate(payload, SCHEMA)
+    VALIDATOR.validate(payload)
     return code, payload
 
 
@@ -169,3 +175,18 @@ def test_certify_survives_malformed_fixture_override(tmp_path, capsys, name, con
     assert code == EXIT_UNKNOWN
     malformed = name == "level_1.json"
     assert ("analytic clause not evaluated" in payload["justification"]) == malformed
+
+
+@pytest.mark.parametrize("where", ["fixtures", "cache"])
+def test_certify_survives_a_directory_in_place_of_a_newform_file(tmp_path, capsys, monkeypatch, where):
+    argv = ["certify", "74"]
+    if where == "fixtures":
+        (tmp_path / "level_1.json").mkdir()
+        argv += ["--fixtures", str(tmp_path)]
+    else:
+        (tmp_path / "newforms" / "level_1.json").mkdir(parents=True)
+        monkeypatch.setenv("CACHE_DIR", str(tmp_path))
+    code, payload = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert payload["clause"] == "A1_prime"
+    assert payload["verdict"] == "proven_nontrivial"

@@ -388,6 +388,24 @@ def test_malformed_fixture_override_makes_the_witness_indeterminate(tmp_path, co
         witness_minus_rank1(74, client=client)
 
 
+def test_unreadable_fixture_override_makes_the_witness_indeterminate(tmp_path):
+    (tmp_path / "level_1.json").mkdir()
+    client = NewformClient(fixtures_dir=str(tmp_path))
+    with pytest.raises(PayloadError, match="unreadable"):
+        client.fetch_newforms(1, mode="offline")
+    with pytest.raises(WitnessIndeterminate):
+        witness_minus_rank1(74, client=client)
+
+
+def test_unreadable_cache_entry_is_a_miss(tmp_path):
+    entry = tmp_path / "newforms" / "level_37.json"
+    entry.mkdir(parents=True)
+    client = NewformClient(cache_dir=str(tmp_path))
+    assert client.fetch_newforms(37, mode="offline") == NewformClient().fetch_newforms(37, mode="offline")
+    assert witness_minus_rank1(74, client=client)[0] == 37
+    assert entry.is_dir() and sorted(p.name for p in entry.parent.iterdir()) == ["level_37.json"]
+
+
 def test_stray_fixture_override_name_is_skipped(tmp_path):
     (tmp_path / "level_abc.json").write_text("{}", encoding="utf-8")
     _write_level(tmp_path, 37, [_minus_rank1("37.2.a.a")])

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 from math import isqrt
@@ -6,11 +7,12 @@ import pytest
 
 import cyclecert.pullback as pullback_mod
 from cyclecert.heegner import CongruenceError, hurwitz_class_number
-from cyclecert.lattices import DiscElement
+from cyclecert.lattices import DiscElement, q_mod1
 from cyclecert.modcurves import cover_degree_over_x0
 from cyclecert.pullback import (
     AmbientGenerator,
     DivisorClass,
+    PullbackDecomposition,
     apply_decomposition,
     chow_heegner_divisor,
     decompose_heegner,
@@ -18,7 +20,7 @@ from cyclecert.pullback import (
     reduce_omega_to_cusp,
     verify_decomposition,
 )
-from oracles import inverse_theta_coeffs
+from oracles import inverse_theta_coeffs, pullback_by_splitting, round_trip_by_divisor_class
 
 
 def gen(level, m, r1, r2=0):
@@ -241,3 +243,110 @@ def test_omega_reduction_rule_gated_on_genus():
     assert reduced.cusp_coeff == 1 + 3 * (2 * 2 - 2)
     formal = reduce_omega_to_cusp(d, genus=0)
     assert formal.omega_coeff == 3 and formal.cusp_coeff == 1
+
+
+def _targets(max_level, max_scaled):
+    """Every valid (N, 4N*m0, r1) with N <= max_level and 0 < 4N*m0 <= max_scaled."""
+    for level in range(1, max_level + 1):
+        four_n = 4 * level
+        for r1 in range(2 * level):
+            first = (-r1 * r1) % four_n or four_n
+            for scaled in range(first, max_scaled + 1, four_n):
+                yield level, scaled, r1
+
+
+def _tampered(dec):
+    """The decomposition with one coefficient bumped, one rung dropped, one
+    coefficient made non-integral, and an extra Z*(0, 0) term."""
+    terms = list(dec.terms)
+    i = len(terms) // 2
+    gen_i, c_i = terms[i]
+    zero = AmbientGenerator(m=Fraction(0), mu=DiscElement(dec.level, 0, 0))
+    for changed in (
+        terms[:i] + [(gen_i, c_i + 1)] + terms[i + 1 :],
+        terms[:i] + terms[i + 1 :],
+        terms[:i] + [(gen_i, c_i + Fraction(1, 3))] + terms[i + 1 :],
+        terms + [(zero, Fraction(1))],
+    ):
+        yield dataclasses.replace(dec, terms=tuple(changed))
+
+
+def _typed(residual):
+    return sorted((type(m), m, r, type(c), c) for (m, r), c in residual.items())
+
+
+def test_round_trip_matches_divisor_class_oracle():
+    seen_nonzero = 0
+    for level, scaled, r1 in _targets(10, 400):
+        dec = decompose_heegner(level, Fraction(scaled, 4 * level), r1)
+        for case in (dec, *_tampered(dec)):
+            got = verify_decomposition(case)
+            want = round_trip_by_divisor_class(case)
+            assert _typed(got) == _typed(want), (level, scaled, r1, case.terms)
+            assert all(type(m) is Fraction and 0 <= r < 2 * level for m, r in got)
+            seen_nonzero += bool(got)
+    assert seen_nonzero > 1000
+
+
+def test_round_trip_rejects_mixed_levels_like_the_oracle():
+    dec = decompose_heegner(2, 1, 0)
+    mixed = dataclasses.replace(dec, terms=dec.terms + ((gen(1, 1, 0), Fraction(1)),))
+    for round_trip in (verify_decomposition, round_trip_by_divisor_class):
+        with pytest.raises(ValueError, match="different levels"):
+            round_trip(mixed)
+
+
+def test_round_trip_subtracts_a_target_the_terms_miss():
+    dec = PullbackDecomposition(level=3, target=(Fraction(2, 3), 2), terms=())
+    assert verify_decomposition(dec) == round_trip_by_divisor_class(dec) == {(Fraction(2, 3), 2): -1}
+    for round_trip in (verify_decomposition, round_trip_by_divisor_class):
+        with pytest.raises(ValueError, match="positive"):
+            round_trip(dataclasses.replace(dec, level=0))
+
+
+def test_ladder_rungs_equal_public_generators():
+    for level, scaled, r1 in _targets(10, 400):
+        for g, _ in decompose_heegner(level, Fraction(scaled, 4 * level), r1).terms:
+            public = AmbientGenerator(g.m, g.mu)
+            assert g == public and hash(g) == hash(public) and repr(g) == repr(public)
+            assert type(g.m) is Fraction and g._four_nm == public._four_nm == g.m * 4 * level
+
+
+def test_ladder_rung_failing_the_congruence_raises():
+    mu = DiscElement(3, 1, 2)
+    # 4N*m = r2**2 - r1**2 = 3 mod 12
+    assert AmbientGenerator._rung(15, mu) == AmbientGenerator(Fraction(15, 12), mu)
+    with pytest.raises(ValueError) as public:
+        AmbientGenerator(Fraction(16, 12), mu)
+    with pytest.raises(ValueError) as rung:
+        AmbientGenerator._rung(16, mu)
+    assert str(rung.value) == str(public.value)
+
+
+def test_generator_congruence_matches_q_mod1():
+    # the constructors check m = q(mu) mod 1 as an integer congruence on 4N*m
+    for level in range(1, 5):
+        for r1 in range(2 * level):
+            for r2 in range(2 * level):
+                mu = DiscElement(level, r1, r2)
+                for m in (Fraction(a, 12 * level) for a in range(24 * level)):
+                    valid = (m - q_mod1(mu, "full")) % 1 == 0
+                    try:
+                        g = AmbientGenerator(m, mu)
+                    except ValueError:
+                        assert not valid, (m, mu)
+                    else:
+                        assert valid and g._four_nm == m * 4 * level, (m, mu)
+
+
+def test_pullback_matches_splitting_oracle():
+    for level in range(1, 7):
+        four_n = 4 * level
+        for r1 in range(2 * level):
+            for r2 in range(2 * level):
+                first = (r2 * r2 - r1 * r1) % four_n
+                for four_nm in range(first, 301, four_n):
+                    d = pullback_divisor(AmbientGenerator(Fraction(four_nm, four_n), DiscElement(level, r1, r2)))
+                    heeg, omega = pullback_by_splitting(level, four_nm, r1, r2)
+                    assert d.heeg_coeffs == {(Fraction(k, four_n), r): Fraction(c) for (k, r), c in heeg.items()}
+                    assert d.omega_coeff == omega
