@@ -20,8 +20,6 @@ from .lattices import (
     DiscElement,
     GramLattice,
     full_matrix_lattice,
-    q_mod1,
-    smith_normal_form,
     trace_zero_lattice,
 )
 from .modcurves import (
@@ -41,7 +39,6 @@ from .newforms import (
     PayloadError,
     TransientFetchError,
     WitnessIndeterminate,
-    default_client,
     witness_minus_rank1,
 )
 from .pullback import (
@@ -52,7 +49,6 @@ from .pullback import (
     chow_heegner_divisor,
     decompose_heegner,
     pullback_divisor,
-    reduce_omega_to_cusp,
     verify_decomposition,
 )
 from .repcount import scalar_rep_count
@@ -84,7 +80,6 @@ __all__ = [
     "cover_degree_over_x0",
     "cover_profile",
     "decompose_heegner",
-    "default_client",
     "eichler_relation_sides",
     "enumerate_heegner_divisor",
     "explain",
@@ -96,11 +91,8 @@ __all__ = [
     "minus_newspace_dim",
     "psl2_order",
     "pullback_divisor",
-    "q_mod1",
-    "reduce_omega_to_cusp",
     "scalar_rep_count",
     "sl2_order",
-    "smith_normal_form",
     "special_divisor_index",
     "trace_zero_lattice",
     "verify_decomposition",

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, divisors, factor, large_level_bound
+from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, factor, large_level_bound
 from .modcurves import CurveProfile, cover_profile
 from .newforms import (
     NewformClient,
     WitnessIndeterminate,
-    default_client,
     witness_minus_rank1,
 )
 
@@ -99,13 +98,11 @@ def certify(
         fired.append((CLAUSE_B, {"clause": CLAUSE_B, "bound": str(bound)}))
 
     # analytic: odd-sign rank-one newform at a divisor level
-    client = newform_source or default_client()
+    client = newform_source or NewformClient()
     try:
         if cofactor > 1:
             raise WitnessIndeterminate("divisor scan limited by incomplete factorization")
-        # the offline scan walks the local levels and needs no divisor list
-        divs = divisors(known) if mode == "online" else None
-        hit = witness_minus_rank1(n, mode=mode, client=client, divisors=divs)
+        hit = witness_minus_rank1(n, mode=mode, client=client)
         if hit is not None:
             level, record = hit
             fired.append(

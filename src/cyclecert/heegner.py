@@ -26,7 +26,7 @@ from .arith import factor
 
 
 class CongruenceError(ValueError):
-    """Raised when (m0, r1) violates m0 = -r1**2/4N mod 1; distinct from an empty divisor."""
+    """Raised when (m0, r1) violates m0 = -r1**2/4N mod 1, the one way a key with m0 > 0 can fail."""
 
 
 @dataclass(frozen=True)
@@ -268,13 +268,12 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
     )
 
 
-def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex | None:
-    """Heegner index (D, r) = (-4N*m0, r1) of the special divisor at (m0, r1).
+def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
+    """Heegner index (D, r) = (-4N*m0, r1 mod 2N) of the special divisor at (m0, r1).
 
     Requires m0 > 0 and the congruence m0 = -r1**2/4N mod 1, violated input
-    raising CongruenceError.  Returns None only if (D, r) fails to be a valid
-    index, which signals the empty divisor (never the case once the congruence
-    holds, but kept as an explicit outcome distinct from the error).
+    raising CongruenceError.  Every key that passes indexes a Heegner divisor:
+    the congruence says r1**2 = D mod 4N, so D = 0 or 1 mod 4, and D < 0.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
@@ -287,8 +286,4 @@ def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerInd
         raise CongruenceError(
             "m0 = %s violates m0 = -r1**2/(4N) mod 1 for r1 = %d at level %d" % (m0, r1, level)
         )
-    disc = -scaled.numerator
-    try:
-        return HeegnerIndex(level=level, disc=disc, r=r1)
-    except ValueError:
-        return None
+    return HeegnerIndex(level=level, disc=-scaled.numerator, r=r1)

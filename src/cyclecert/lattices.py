@@ -1,4 +1,4 @@
-"""Exact arithmetic for the two level-N matrix lattices and their discriminant groups.
+"""The two level-N matrix lattices and their discriminant groups, in closed form.
 
 The rank-3 lattice lives inside trace-zero 2x2 rational matrices with
 quadratic form Q(x) = N*det(x) and bilinear form (x, y) = N*tr(x*adj(y));
@@ -8,88 +8,39 @@ Bases are pinned once and for all so Gram matrices are bit-stable:
     trace-zero side:  diag(1, -1), (0, -1/N; 0, 0), (0, 0; 1, 0)
     scalar side:      I
 
-Everything is integer / Fraction arithmetic; no floats.
+In these bases the Gram matrices are the orthogonal sums <-2N> + H and
+<-2N> + H + <2N>, H the hyperbolic plane, so their Smith normal forms are
+(1, 1, 2N) and (1, 1, 2N, 2N): the discriminant groups are Z/2N and
+(Z/2N)**2, of orders 2N and (2N)**2.  A `GramLattice` accepts only one of
+the two pinned matrices, with its signature, so these closed forms always
+describe its Gram matrix.  Everything is integer arithmetic; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 
-
-def _det(mat: Matrix) -> int:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in mat[1:])
-        term = mat[0][j] * _det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+# signature of the pinned lattice of each rank
+_SIGNATURES = {3: (1, 2), 4: (2, 2)}
 
 
-def smith_normal_form(mat: Matrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of an integer matrix (nonnegative, d1 | d2 | ...)."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    out = []
-    top = 0
-    while top < n:
-        # find a nonzero pivot of least absolute value
-        pivot = None
-        for i in range(top, n):
-            for j in range(top, n):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            out.extend(0 for _ in range(top, n))
-            break
-        i, j = pivot
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        p = m[top][top]
-        dirty = False
-        for i in range(top + 1, n):
-            q = m[i][top] // p
-            if q:
-                for j in range(top, n):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top] != 0:
-                dirty = True
-        for j in range(top + 1, n):
-            q = m[top][j] // p
-            if q:
-                for i in range(top, n):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide the remaining block
-        ok = True
-        for i in range(top + 1, n):
-            for j in range(top + 1, n):
-                if m[i][j] % p != 0:
-                    for k in range(top, n):
-                        m[top][k] += m[i][k]
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        out.append(abs(p))
-        top += 1
-    return tuple(out)
+def _pinned_gram(level: int, rank: int) -> Matrix | None:
+    """Gram matrix of the pinned level-N basis of rank 3 or 4; None at any other rank."""
+    n = level
+    trace_zero = ((-2 * n, 0, 0), (0, 0, 1), (0, 1, 0))
+    if rank == 3:
+        return trace_zero
+    if rank == 4:
+        # the scalar-line block is (2N) since (a*I, a*I) = 2*N*a**2
+        return tuple(row + (0,) for row in trace_zero) + ((0, 0, 0, 2 * n),)
+    return None
 
 
 @dataclass(frozen=True)
 class GramLattice:
-    """An integral lattice given by its Gram matrix in a pinned basis."""
+    """One of the two pinned level-N lattices, given by its Gram matrix."""
 
     rank: int
     gram: Matrix
@@ -99,43 +50,18 @@ class GramLattice:
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValueError("level must be a positive integer")
-        if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
-            raise ValueError("gram matrix shape does not match rank")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-        if _det(self.gram) == 0:
-            raise ValueError("gram matrix must be nondegenerate")
-
-    def det(self) -> int:
-        return _det(self.gram)
+        if self.gram != _pinned_gram(self.level, self.rank) or self.signature != _SIGNATURES.get(self.rank):
+            raise ValueError(
+                "gram matrix and signature must be the pinned level-%d ones of rank 3 or 4" % self.level
+            )
 
     def disc_group_order(self) -> int:
-        """Order of dual/lattice quotient, |det(gram)|."""
-        return abs(_det(self.gram))
+        """Order of dual/lattice quotient, |det(gram)| = (2N)**(rank - 2)."""
+        return (2 * self.level) ** (self.rank - 2)
 
     def elementary_divisors(self) -> tuple[int, ...]:
-        return smith_normal_form(self.gram)
-
-    def disc_group_invariants(self) -> tuple[int, ...]:
-        """Cyclic invariants of the discriminant group (elementary divisors > 1)."""
-        return tuple(d for d in smith_normal_form(self.gram) if d > 1)
-
-    def dual_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Dual basis vectors expressed in the pinned basis (rows of gram^-1)."""
-        n = self.rank
-        aug = [[Fraction(self.gram[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
+        """Smith normal form diagonal of the Gram matrix: (1, 1, 2N) or (1, 1, 2N, 2N)."""
+        return (1, 1) + (2 * self.level,) * (self.rank - 2)
 
 
 def trace_zero_lattice(level: int) -> GramLattice:
@@ -144,25 +70,15 @@ def trace_zero_lattice(level: int) -> GramLattice:
     In the pinned basis the Gram matrix is [[-2N, 0, 0], [0, 0, 1], [0, 1, 0]];
     its discriminant group is cyclic of order 2N.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    n = level
-    gram = ((-2 * n, 0, 0), (0, 0, 1), (0, 1, 0))
-    return GramLattice(rank=3, gram=gram, signature=(1, 2), level=n)
+    return GramLattice(rank=3, gram=_pinned_gram(level, 3), signature=_SIGNATURES[3], level=level)
 
 
 def full_matrix_lattice(level: int) -> GramLattice:
     """Rank-4 orthogonal sum of the trace-zero lattice and the scalar line.
 
-    The scalar-line block is (2N) since (a*I, a*I) = 2*N*a**2; the discriminant
-    group has order (2N)**2.
+    The discriminant group has order (2N)**2.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    n = level
-    w = trace_zero_lattice(n).gram
-    gram = tuple(row + (0,) for row in w) + ((0, 0, 0, 2 * n),)
-    return GramLattice(rank=4, gram=gram, signature=(2, 2), level=n)
+    return GramLattice(rank=4, gram=_pinned_gram(level, 4), signature=_SIGNATURES[4], level=level)
 
 
 @dataclass(frozen=True)
@@ -171,7 +87,8 @@ class DiscElement:
 
     r1 indexes the trace-zero component (r -> diag(r, -r)/2N), r2 the scalar
     component (r -> (r/2N)*I).  The pair determines and is determined by the
-    diagonal matrix representative; the splitting is unique.
+    diagonal matrix representative diag((r1+r2)/2N, (r2-r1)/2N); the
+    splitting is unique.
     """
 
     level: int
@@ -190,27 +107,3 @@ class DiscElement:
 
     def is_zero(self) -> bool:
         return self.r1 == 0 and self.r2 == 0
-
-    def matrix_rep(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        """Diagonal matrix representative diag((r1+r2)/2N, (r2-r1)/2N)."""
-        m = 2 * self.level
-        return (
-            (Fraction(self.r1 + self.r2, m), Fraction(0)),
-            (Fraction(0), Fraction(self.r2 - self.r1, m)),
-        )
-
-
-def q_mod1(mu: DiscElement, side: str = "full") -> Fraction:
-    """Quadratic form value of a discriminant-group element, reduced mod 1.
-
-    side "trace0" gives -r1**2/4N mod 1, side "scalar" gives r2**2/4N mod 1,
-    side "full" their sum mod 1.  Values lie in [0, 1).
-    """
-    four_n = 4 * mu.level
-    if side == "trace0":
-        return Fraction(-mu.r1 * mu.r1, four_n) % 1
-    if side == "scalar":
-        return Fraction(mu.r2 * mu.r2, four_n) % 1
-    if side == "full":
-        return (Fraction(mu.r2 * mu.r2 - mu.r1 * mu.r1, four_n)) % 1
-    raise ValueError("side must be one of 'trace0', 'scalar', 'full'")

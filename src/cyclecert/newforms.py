@@ -331,15 +331,10 @@ class NewformClient:
             return self._level_locks[level]
 
 
-def default_client(**kwargs) -> NewformClient:
-    return NewformClient(**kwargs)
-
-
 def witness_minus_rank1(
     n: int,
     mode: str = "offline",
     client: NewformClient | None = None,
-    divisors: list[int] | None = None,
 ) -> tuple[int, NewformRecord] | None:
     """First divisor level of n carrying an odd-sign rank-1 record, with the record.
 
@@ -348,23 +343,20 @@ def witness_minus_rank1(
     higher have vanishing central derivative and are not witnesses.  Offline
     mode walks the levels that have local data (cache and fixtures) and keeps
     those dividing n, so it needs no factorization of n; levels with no local
-    data answer "no records" anyway.  Online mode scans every divisor of n:
-    `divisors` when given, else those of a complete factorization.  Fetch
-    failures and malformed data raise WitnessIndeterminate, which is distinct
-    from a definite None.
+    data answer "no records" anyway.  Online mode scans every divisor of n,
+    from a complete factorization.  Fetch failures and malformed data raise
+    WitnessIndeterminate, which is distinct from a definite None.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    client = client or default_client()
+    client = client or NewformClient()
     if mode == "offline":
         scan = [m for m in sorted(client.available_offline_levels()) if n % m == 0]
     else:
-        if divisors is None:
-            factors, cofactor = arith.factor(n)
-            if cofactor > 1:
-                raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
-            divisors = arith.divisors(factors)
-        scan = sorted(divisors)
+        factors, cofactor = arith.factor(n)
+        if cofactor > 1:
+            raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
+        scan = sorted(arith.divisors(factors))
     for m in scan:
         try:
             records = client.fetch_newforms(m, mode=mode)

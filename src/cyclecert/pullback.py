@@ -7,11 +7,12 @@ this algebra with a cusp coefficient that is only defined up to an integer;
 that ambiguity is carried as a flag and never guessed, and all round-trip
 comparisons are on Heegner coefficients alone.
 
-Keys are validated once, where they enter: `decompose_heegner` checks its
-target, `DivisorClass` and `AmbientGenerator` check what they are given.
-Inside, a ladder rung's congruence m = q(mu) mod 1 is checked in integers on
-4N*m, and pullbacks are summed on integer keys (4N*m0, r1); `Fraction` keys
-appear only in what is returned.
+Keys are validated once, where they enter: `decompose_heegner` and
+`verify_decomposition` check their target, `DivisorClass` and
+`AmbientGenerator` check what they are given.  Inside, a ladder rung's
+congruence m = q(mu) mod 1 is checked in integers on 4N*m, and pullbacks are
+summed on integer keys (4N*m0, r1); every key a pullback reaches is valid by
+construction, and `Fraction` keys appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -20,24 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .heegner import HeegnerIndex, hurwitz_class_number, special_divisor_index
+from .heegner import hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
 
 HeegKey = tuple[Fraction, int]
-
-
-def _check_level(level: int) -> None:
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-
-
-def _checked_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
-    """Heegner index of the key (m0, r1); raise if it indexes the empty divisor."""
-    idx = special_divisor_index(level, m0, r1)
-    if idx is None:
-        raise ValueError("key %s indexes an empty divisor" % ((m0, r1),))
-    return idx
 
 
 @dataclass
@@ -57,13 +45,14 @@ class DivisorClass:
     cusp_ambiguous: bool = False
 
     def __post_init__(self) -> None:
-        _check_level(self.level)
+        if self.level < 1:
+            raise ValueError("level must be a positive integer")
         cleaned: dict[HeegKey, Fraction] = {}
         for (m0, r1), coeff in self.heeg_coeffs.items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            key = (Fraction(m0), _checked_index(self.level, m0, r1).r)
+            key = (Fraction(m0), special_divisor_index(self.level, m0, r1).r)
             cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
         self.heeg_coeffs = {k: v for k, v in cleaned.items() if v != 0}
         self.omega_coeff = Fraction(self.omega_coeff)
@@ -110,9 +99,6 @@ class DivisorClass:
             f * self.cusp_coeff,
             self.cusp_ambiguous,
         )
-
-    def heeg_vector(self) -> dict[HeegKey, Fraction]:
-        return dict(self.heeg_coeffs)
 
     def is_zero(self) -> bool:
         return not self.heeg_coeffs and self.omega_coeff == 0 and self.cusp_coeff == 0
@@ -277,7 +263,7 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     trip through `verify_decomposition` is linear in the number of pullback
     terms it sums.
     """
-    idx = _checked_index(level, m0, r1)
+    idx = special_divisor_index(level, m0, r1)
     n, r1, four_nm = level, idx.r, -idx.disc
     four_n = 4 * n
     depth = -(-four_nm // four_n)
@@ -328,24 +314,21 @@ def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
 def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fraction]:
     """Residual of the round trip on Heegner coefficients; empty means exact.
 
-    The pulled-back terms are summed on integer keys (4N*m0, r1), and the
-    target is subtracted there.  As for a `DivisorClass`, every key with a
-    nonzero achieved coefficient is validated first, once; `Fraction` keys and
-    values are built only for the entries returned.  Omega and cusp
-    coefficients are excluded from the comparison: the cusp coefficient of a
-    pullback is undetermined, and the two classes are proportional on the
-    curves in question.
+    The target is validated and reduced once, to the integer key
+    (4N*m0, r1 mod 2N).  The pulled-back terms are summed on such keys, and
+    the target is subtracted there.  The summed keys need no check: every
+    generator was validated when it was built, and each splitting of a valid
+    generator lands on a valid key.  `Fraction` keys and values are built only
+    for the entries returned.  Omega and cusp coefficients are excluded from
+    the comparison: the cusp coefficient of a pullback is undetermined, and
+    the two classes are proportional on the curves in question.
     """
-    level = decomp.level
-    _check_level(level)
-    four_n = 4 * level
-    heeg, _, _ = _sum_pullbacks(decomp)
-    for (k, r1), c in heeg.items():
-        if c:
-            _checked_index(level, Fraction(k, four_n), r1)
     m0, r1 = decomp.target
-    target = (Fraction(m0) * four_n, r1)
+    idx = special_divisor_index(decomp.level, m0, r1)
+    heeg, _, _ = _sum_pullbacks(decomp)
+    target = (-idx.disc, idx.r)
     heeg[target] = heeg.get(target, 0) - 1
+    four_n = 4 * decomp.level
     return {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}
 
 
@@ -360,8 +343,6 @@ def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorCl
     """
     m0, r1 = decomp.target
     idx = special_divisor_index(level, m0, r1)
-    if idx is None:
-        raise ValueError("decomposition targets an empty divisor")
     degree = 2 * cover_degree_over_x0(level) * hurwitz_class_number(-idx.disc)
     return DivisorClass._from_valid(
         level,
@@ -369,22 +350,4 @@ def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorCl
         Fraction(0),
         Fraction(-degree),
         False,
-    )
-
-
-def reduce_omega_to_cusp(divclass: DivisorClass, genus: int) -> DivisorClass:
-    """Absorb the Omega part into the cusp class via (2g-2)*Cusp = Omega.
-
-    The relation requires a torsion-free group with genus at least 2 so the
-    canonical class is cusp-supported; below genus 2 the class is returned
-    unchanged and stays formal.
-    """
-    if genus < 2 or divclass.omega_coeff == 0:
-        return divclass
-    return DivisorClass._from_valid(
-        divclass.level,
-        dict(divclass.heeg_coeffs),
-        Fraction(0),
-        divclass.cusp_coeff + divclass.omega_coeff * (2 * genus - 2),
-        divclass.cusp_ambiguous,
     )

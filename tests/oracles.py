@@ -1,7 +1,10 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own code paths: signature by exact
-congruence diagonalization, modular-curve data by direct coset/orbit
+congruence diagonalization, determinants by cofactor expansion and
+discriminant groups by Smith normal form, the discriminant form and matrix
+representatives of discriminant-group elements from their residues,
+modular-curve data by direct coset/orbit
 enumeration, elliptic-point counts by polynomial root counting, primality
 by trial division (or sympy above 10**12), Heegner divisors by transforming
 every reduced form by all psi(N) coset representatives, the newform
@@ -48,6 +51,100 @@ def exact_signature(gram) -> tuple[int, int]:
                     m[k][j] -= f * m[k][i0]
         idx.pop(0)
     return pos, neg
+
+
+def det_by_expansion(mat) -> int:
+    """Determinant of a square integer matrix by cofactor expansion along the first row."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = 0
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1 :] for row in mat[1:])
+        term = mat[0][j] * det_by_expansion(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def smith_normal_form(mat) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of an integer matrix (nonnegative, d1 | d2 | ...)."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    out = []
+    top = 0
+    while top < n:
+        # find a nonzero pivot of least absolute value
+        pivot = None
+        for i in range(top, n):
+            for j in range(top, n):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            out.extend(0 for _ in range(top, n))
+            break
+        i, j = pivot
+        m[top], m[i] = m[i], m[top]
+        for row in m:
+            row[top], row[j] = row[j], row[top]
+        p = m[top][top]
+        dirty = False
+        for i in range(top + 1, n):
+            q = m[i][top] // p
+            if q:
+                for j in range(top, n):
+                    m[i][j] -= q * m[top][j]
+            if m[i][top] != 0:
+                dirty = True
+        for j in range(top + 1, n):
+            q = m[top][j] // p
+            if q:
+                for i in range(top, n):
+                    m[i][j] -= q * m[i][top]
+            if m[top][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        # pivot must divide the remaining block
+        ok = True
+        for i in range(top + 1, n):
+            for j in range(top + 1, n):
+                if m[i][j] % p != 0:
+                    for k in range(top, n):
+                        m[top][k] += m[i][k]
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        out.append(abs(p))
+        top += 1
+    return tuple(out)
+
+
+def q_mod1(mu, side: str = "full") -> Fraction:
+    """Quadratic form value of a discriminant-group element, reduced mod 1.
+
+    side "trace0" gives -r1**2/4N mod 1, side "scalar" gives r2**2/4N mod 1,
+    side "full" their sum mod 1.  Values lie in [0, 1).
+    """
+    four_n = 4 * mu.level
+    if side == "trace0":
+        return Fraction(-mu.r1 * mu.r1, four_n) % 1
+    if side == "scalar":
+        return Fraction(mu.r2 * mu.r2, four_n) % 1
+    if side == "full":
+        return (Fraction(mu.r2 * mu.r2 - mu.r1 * mu.r1, four_n)) % 1
+    raise ValueError("side must be one of 'trace0', 'scalar', 'full'")
+
+
+def matrix_rep(mu) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Diagonal matrix representative diag((r1+r2)/2N, (r2-r1)/2N) of a discriminant-group element."""
+    m = 2 * mu.level
+    return (
+        (Fraction(mu.r1 + mu.r2, m), Fraction(0)),
+        (Fraction(0), Fraction(mu.r2 - mu.r1, m)),
+    )
 
 
 def _pm_canon(v, m):
@@ -253,13 +350,15 @@ def pullback_by_splitting(level: int, four_nm: int, r1: int, r2: int) -> tuple[d
 def round_trip_by_divisor_class(decomp):
     """Round-trip residual of a decomposition through a validated `DivisorClass`.
 
-    The library's earlier `verify_decomposition`, verbatim: the achieved
+    An earlier form of the library's `verify_decomposition`: the achieved
     class is built with `Fraction` keys, each validated, and the target is
-    subtracted from its Heegner vector.
+    subtracted, as given, from its Heegner coefficients.  It therefore
+    agrees with `verify_decomposition` only on targets already reduced
+    (0 <= r1 < 2N), which is what `decompose_heegner` returns.
     """
     from cyclecert.pullback import apply_decomposition
 
-    achieved = apply_decomposition(decomp).heeg_vector()
+    achieved = dict(apply_decomposition(decomp).heeg_coeffs)
     achieved[decomp.target] = achieved.get(decomp.target, Fraction(0)) - 1
     return {k: v for k, v in achieved.items() if v != 0}
 
@@ -429,11 +528,11 @@ def witness_by_divisor_scan(n: int, mode: str = "offline", client=None, divisors
     from a definite None.
     """
     from cyclecert import arith
-    from cyclecert.newforms import TransientFetchError, WitnessIndeterminate, default_client
+    from cyclecert.newforms import NewformClient, TransientFetchError, WitnessIndeterminate
 
     if n < 1:
         raise ValueError("n must be a positive integer")
-    client = client or default_client()
+    client = client or NewformClient()
     if divisors is None:
         factors, cofactor = arith.factor(n)
         if cofactor > 1:

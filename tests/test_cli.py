@@ -190,3 +190,56 @@ def test_certify_survives_a_directory_in_place_of_a_newform_file(tmp_path, capsy
     assert code == EXIT_OK
     assert payload["clause"] == "A1_prime"
     assert payload["verdict"] == "proven_nontrivial"
+
+
+def test_public_surface_is_pinned():
+    # a new public name, or a dropped one, is a deliberate change to this list
+    import cyclecert
+
+    assert sorted(cyclecert.__all__) == [
+        "AmbientGenerator",
+        "BQForm",
+        "Certificate",
+        "CongruenceError",
+        "CurveProfile",
+        "DiscElement",
+        "DivisorClass",
+        "GramLattice",
+        "HeegnerDivisor",
+        "HeegnerIndex",
+        "LevelBoundError",
+        "NewformClient",
+        "NewformRecord",
+        "PayloadError",
+        "PullbackDecomposition",
+        "TransientFetchError",
+        "WitnessIndeterminate",
+        "apply_decomposition",
+        "certify",
+        "chow_heegner_divisor",
+        "class_number",
+        "cover_degree_over_x0",
+        "cover_profile",
+        "decompose_heegner",
+        "eichler_relation_sides",
+        "enumerate_heegner_divisor",
+        "explain",
+        "fricke_quotient_genus",
+        "full_matrix_lattice",
+        "heegner_r_values",
+        "hurwitz_class_number",
+        "large_level_bound",
+        "minus_newspace_dim",
+        "psl2_order",
+        "pullback_divisor",
+        "scalar_rep_count",
+        "sl2_order",
+        "special_divisor_index",
+        "trace_zero_lattice",
+        "verify_decomposition",
+        "witness_minus_rank1",
+        "x0_profile",
+    ]
+    assert len(set(cyclecert.__all__)) == len(cyclecert.__all__)
+    for name in cyclecert.__all__:
+        assert getattr(cyclecert, name) is not None, name

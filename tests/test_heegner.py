@@ -190,6 +190,19 @@ def test_special_divisor_index_examples(level, m0, r1, disc, r):
     assert idx == HeegnerIndex(level=level, disc=disc, r=r)
 
 
+def test_special_divisor_index_never_fails_once_the_congruence_holds():
+    # r1**2 = D mod 4N forces D = 0 or 1 mod 4, so every valid key is an index
+    keys = 0
+    for level in range(1, 41):
+        four_n = 4 * level
+        for r1 in range(-2 * level, 4 * level):
+            for scaled in range((-r1 * r1) % four_n or four_n, 300, four_n):
+                idx = special_divisor_index(level, Fraction(scaled, four_n), r1)
+                assert (idx.level, idx.disc, idx.r) == (level, -scaled, r1 % (2 * level))
+                keys += 1
+    assert keys == 17427
+
+
 def test_special_divisor_congruence_mismatch_is_an_error():
     with pytest.raises(CongruenceError):
         special_divisor_index(1, Fraction(1, 2), 0)

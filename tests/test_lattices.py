@@ -4,12 +4,11 @@ import pytest
 
 from cyclecert.lattices import (
     DiscElement,
+    GramLattice,
     full_matrix_lattice,
-    q_mod1,
-    smith_normal_form,
     trace_zero_lattice,
 )
-from oracles import exact_signature
+from oracles import det_by_expansion, exact_signature, matrix_rep, q_mod1, smith_normal_form
 
 
 def test_trace_zero_gram_pinned():
@@ -50,47 +49,59 @@ def test_full_disc_group_order_examples(n, order):
 
 
 def test_disc_group_orders_by_smith_normal_form():
+    # the closed-form orders against the reference determinant and Smith normal form
     for n in range(1, 51):
-        w = trace_zero_lattice(n)
-        snf = smith_normal_form(w.gram)
-        prod = 1
-        for d in snf:
-            prod *= d
-        assert prod == 2 * n == w.disc_group_order()
-        full = full_matrix_lattice(n)
-        snf = smith_normal_form(full.gram)
-        prod = 1
-        for d in snf:
-            prod *= d
-        assert prod == 4 * n * n == full.disc_group_order()
+        for lat, order in ((trace_zero_lattice(n), 2 * n), (full_matrix_lattice(n), 4 * n * n)):
+            prod = 1
+            for d in smith_normal_form(lat.gram):
+                prod *= d
+            assert prod == abs(det_by_expansion(lat.gram)) == order == lat.disc_group_order()
 
 
 def test_disc_group_invariants_cyclic_orders():
-    assert trace_zero_lattice(6).disc_group_invariants() == (12,)
-    assert full_matrix_lattice(6).disc_group_invariants() == (12, 12)
+    # the invariants are the elementary divisors above 1
+    assert trace_zero_lattice(6).elementary_divisors() == (1, 1, 12)
+    assert full_matrix_lattice(6).elementary_divisors() == (1, 1, 12, 12)
 
 
 def test_snf_divisibility_chain():
-    for n in (1, 4, 12, 30):
-        divs = smith_normal_form(full_matrix_lattice(n).gram)
-        for a, b in zip(divs, divs[1:]):
-            assert b % a == 0
+    # the closed-form elementary divisors against the reference Smith normal form
+    for n in range(1, 51):
+        for lat in (trace_zero_lattice(n), full_matrix_lattice(n)):
+            divs = lat.elementary_divisors()
+            assert divs == smith_normal_form(lat.gram)
+            for a, b in zip(divs, divs[1:]):
+                assert b % a == 0
+
+
+def test_gram_lattice_accepts_only_the_pinned_matrices():
+    for n in (1, 2, 7):
+        for lat in (trace_zero_lattice(n), full_matrix_lattice(n)):
+            assert GramLattice(lat.rank, lat.gram, lat.signature, n) == lat
+            others = (
+                trace_zero_lattice(n + 1).gram,
+                full_matrix_lattice(n + 1).gram,
+                ((2 * n, 0, 0), (0, 0, 1), (0, 1, 0)),
+                ((-2 * n, 0, 0), (0, 0, 1), (0, 0, 0)),
+                ((-2 * n, 0, 0), (0, 0, 1), (0, 2, 0)),
+                ((1,),),
+                (),
+            )
+            for gram in others:
+                for rank in (1, 3, 4, 5):
+                    with pytest.raises(ValueError, match="pinned"):
+                        GramLattice(rank, gram, lat.signature, n)
+            with pytest.raises(ValueError, match="pinned"):
+                GramLattice(5, lat.gram, lat.signature, n)
+            for signature in ((lat.rank, 0), (0, lat.rank), (2, 1)):
+                with pytest.raises(ValueError, match="pinned"):
+                    GramLattice(lat.rank, lat.gram, signature, n)
 
 
 def test_signatures_match_exact_diagonalization():
     for n in (1, 2, 3, 10, 25):
         assert exact_signature(trace_zero_lattice(n).gram) == (1, 2)
         assert exact_signature(full_matrix_lattice(n).gram) == (2, 2)
-
-
-def test_dual_basis_inverts_gram():
-    for n in (1, 2, 9):
-        lat = trace_zero_lattice(n)
-        dual = lat.dual_basis()
-        for i in range(3):
-            for j in range(3):
-                val = sum(Fraction(lat.gram[i][k]) * dual[j][k] for k in range(3))
-                assert val == (1 if i == j else 0)
 
 
 def test_rejects_level_zero():
@@ -143,7 +154,7 @@ def test_matrix_rep_is_the_splitting_sum():
     for n in (1, 2, 5):
         for r1 in range(2 * n):
             for r2 in range(2 * n):
-                rep = DiscElement(n, r1, r2).matrix_rep()
+                rep = matrix_rep(DiscElement(n, r1, r2))
                 top = rep[0][0] * 2 * n
                 bot = rep[1][1] * 2 * n
                 assert top + bot == 2 * r2
@@ -160,7 +171,7 @@ def test_matrix_reps_unique_in_the_quotient():
         ]
         for x in elems:
             for y in elems:
-                rx, ry = x.matrix_rep(), y.matrix_rep()
+                rx, ry = matrix_rep(x), matrix_rep(y)
                 du = rx[0][0] - ry[0][0]
                 dv = rx[1][1] - ry[1][1]
                 same = (

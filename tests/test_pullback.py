@@ -7,7 +7,7 @@ import pytest
 
 import cyclecert.pullback as pullback_mod
 from cyclecert.heegner import CongruenceError, hurwitz_class_number
-from cyclecert.lattices import DiscElement, q_mod1
+from cyclecert.lattices import DiscElement
 from cyclecert.modcurves import cover_degree_over_x0
 from cyclecert.pullback import (
     AmbientGenerator,
@@ -17,10 +17,9 @@ from cyclecert.pullback import (
     chow_heegner_divisor,
     decompose_heegner,
     pullback_divisor,
-    reduce_omega_to_cusp,
     verify_decomposition,
 )
-from oracles import inverse_theta_coeffs, pullback_by_splitting, round_trip_by_divisor_class
+from oracles import inverse_theta_coeffs, pullback_by_splitting, q_mod1, round_trip_by_divisor_class
 
 
 def gen(level, m, r1, r2=0):
@@ -128,7 +127,7 @@ def test_pullback_linearity_on_heeg_coefficients():
     for g, c in ((g1, a), (g2, b)):
         for k, v in pullback_divisor(g).heeg_coeffs.items():
             rhs[k] = rhs.get(k, Fraction(0)) + c * v
-    assert lhs.heeg_vector() == {k: v for k, v in rhs.items() if v != 0}
+    assert lhs.heeg_coeffs == {k: v for k, v in rhs.items() if v != 0}
 
 
 def test_pullback_support_bound():
@@ -236,15 +235,6 @@ def test_chow_heegner_degree_zero_contract():
     assert not out.cusp_ambiguous
 
 
-def test_omega_reduction_rule_gated_on_genus():
-    d = DivisorClass(level=5, omega_coeff=Fraction(3), cusp_coeff=Fraction(1))
-    reduced = reduce_omega_to_cusp(d, genus=2)
-    assert reduced.omega_coeff == 0
-    assert reduced.cusp_coeff == 1 + 3 * (2 * 2 - 2)
-    formal = reduce_omega_to_cusp(d, genus=0)
-    assert formal.omega_coeff == 3 and formal.cusp_coeff == 1
-
-
 def _targets(max_level, max_scaled):
     """Every valid (N, 4N*m0, r1) with N <= max_level and 0 < 4N*m0 <= max_scaled."""
     for level in range(1, max_level + 1):
@@ -286,6 +276,18 @@ def test_round_trip_matches_divisor_class_oracle():
             assert all(type(m) is Fraction and 0 <= r < 2 * level for m, r in got)
             seen_nonzero += bool(got)
     assert seen_nonzero > 1000
+
+
+def test_round_trip_validates_and_reduces_the_target():
+    dec = decompose_heegner(1, Fraction(3, 4), 1)
+    # r1 = 3 is r1 = 1 mod 2N, so the target is the one the terms realize
+    assert verify_decomposition(dataclasses.replace(dec, target=(Fraction(3, 4), 3))) == {}
+    assert verify_decomposition(dataclasses.replace(dec, target=(Fraction(3, 4), -1))) == {}
+    for bad in ((Fraction(1, 2), 1), (Fraction(3, 4), 0), (Fraction(1, 3), 1)):
+        with pytest.raises(CongruenceError):
+            verify_decomposition(dataclasses.replace(dec, target=bad))
+    with pytest.raises(ValueError, match="positive"):
+        verify_decomposition(dataclasses.replace(dec, target=(Fraction(-1, 4), 1)))
 
 
 def test_round_trip_rejects_mixed_levels_like_the_oracle():
