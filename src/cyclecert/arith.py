@@ -8,7 +8,6 @@ a composite piece may be returned unsplit as the cofactor.
 
 from __future__ import annotations
 
-import functools
 from itertools import count
 from math import gcd, isqrt, prod
 
@@ -25,10 +24,12 @@ _TRIAL_SQUARE = 73 * 73
 PSI13 = 3317044064679887385961981
 
 
-@functools.lru_cache(maxsize=1)
+_LARGE_LEVEL_BOUND = 2**6 * 3**4 * 5**2 * 7**2 * prod(p for p in _TRIAL_PRIMES if p >= 11 and p not in LISTED_PRIMES)
+
+
 def large_level_bound() -> int:
     """Exact size bound: 2**6 * 3**4 * 5**2 * 7**2 times the primes 11..71 outside the listed set."""
-    return 2**6 * 3**4 * 5**2 * 7**2 * prod(p for p in _TRIAL_PRIMES if p >= 11 and p not in LISTED_PRIMES)
+    return _LARGE_LEVEL_BOUND
 
 
 def is_prime(n: int) -> bool:
@@ -116,7 +117,7 @@ def factor(n: int) -> tuple[dict[int, int], int]:
             factors[x] = factors.get(x, 0) + 1
         elif r * r == x and r < PSI13 and is_prime(r):
             factors[r] = factors.get(r, 0) + 2
-        elif x > large_level_bound():
+        elif x > _LARGE_LEVEL_BOUND:
             cofactor = x  # only n itself can be this large
         else:
             d = _rho(x)

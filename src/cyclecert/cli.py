@@ -161,6 +161,8 @@ def _client_from_args(args) -> newforms_mod.NewformClient:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
         for key in ("base_url", "cache_dir", "timeout_ms", "rate_limit_per_sec"):
             if key in cfg:
                 kwargs[key] = cfg[key]

@@ -92,7 +92,7 @@ def _weight_sixths(form: BQForm) -> int:
 _WEIGHTS = {6: Fraction(1), 3: Fraction(1, 2), 2: Fraction(1, 3)}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def hurwitz_class_number(n: int) -> Fraction:
     """Hurwitz class number H(n): weighted count of all form classes of discriminant -n.
 
@@ -103,7 +103,6 @@ def hurwitz_class_number(n: int) -> Fraction:
     return Fraction(sum(_weight_sixths(f) for f in reduced_forms(n)), 6)
 
 
-@functools.lru_cache(maxsize=None)
 def class_number(n: int) -> int:
     """Class number h(-n): number of primitive reduced forms of discriminant -n."""
     if n <= 0:

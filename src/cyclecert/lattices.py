@@ -102,8 +102,5 @@ class DiscElement:
         object.__setattr__(self, "r1", self.r1 % m)
         object.__setattr__(self, "r2", self.r2 % m)
 
-    def __neg__(self) -> "DiscElement":
-        return DiscElement(self.level, -self.r1, -self.r2)
-
     def is_zero(self) -> bool:
         return self.r1 == 0 and self.r2 == 0

@@ -5,14 +5,14 @@ torsion-free cover cut out by the subgroup of SL2(Z) with b = 0 mod 2,
 c = 0 mod 2N, d = 1 mod 2N.  The data of X_0(N) and of the cover are closed
 forms in the factorization of the level, so they cost what factoring the
 level costs; the only levels refused are those above the factoring bound
-whose composite part stays unsplit.
+whose composite part stays unsplit.  Only `cover_profile` is cached, in a
+bounded `lru_cache`; the rest is recomputed per call.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from . import arith
@@ -48,6 +48,14 @@ def psl2_order(m: int) -> int:
     return sl2_order(m) if m <= 2 else sl2_order(m) // 2
 
 
+def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
+    # 12(g - 1) = index - 3*nu2 - 4*nu3 - 6*cusps
+    genus, rem = divmod(12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps, 12)
+    if rem or genus < 0:
+        raise ValueError("genus inconsistent with index/elliptic/cusp data")
+    return genus
+
+
 @dataclass(frozen=True)
 class CurveProfile:
     label: str
@@ -59,18 +67,10 @@ class CurveProfile:
     genus: int
 
     def __post_init__(self) -> None:
-        g = (
-            Fraction(1)
-            + Fraction(self.index, 12)
-            - Fraction(self.nu2, 4)
-            - Fraction(self.nu3, 3)
-            - Fraction(self.cusps, 2)
-        )
-        if g != self.genus:
+        if _genus(self.index, self.nu2, self.nu3, self.cusps) != self.genus:
             raise ValueError("genus inconsistent with index/elliptic/cusp data")
 
 
-@functools.lru_cache(maxsize=None)
 def x0_profile(level: int) -> CurveProfile:
     """Classical index, elliptic-point, cusp and genus data of X_0(N)."""
     if level < 1:
@@ -86,12 +86,10 @@ def x0_profile(level: int) -> CurveProfile:
     # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
     # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
     cusps = prod(sum(arith.phi({p: min(i, e - i)}) for i in range(e + 1)) for p, e in factors.items())
-    genus = Fraction(1) + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
-    assert genus.denominator == 1
-    return CurveProfile("x0", n, index, nu2, nu3, cusps, int(genus))
+    return CurveProfile("x0", n, index, nu2, nu3, cusps, _genus(index, nu2, nu3, cusps))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def cover_profile(level: int) -> CurveProfile:
     """Profile of the torsion-free cover curve at the given level.
 
@@ -118,12 +116,9 @@ def cover_profile(level: int) -> CurveProfile:
             twice *= 2 * local - arith.phi({p: e}) if p == 2 else local
         cusps, odd = divmod(twice, 2)
         assert odd == 0
-    genus = Fraction(1) + Fraction(index, 12) - Fraction(cusps, 2)
-    assert genus.denominator == 1 and genus >= 0
-    return CurveProfile("xn", level, index, 0, 0, cusps, int(genus))
+    return CurveProfile("xn", level, index, 0, 0, cusps, _genus(index, 0, 0, cusps))
 
 
-@functools.lru_cache(maxsize=None)
 def fricke_quotient_genus(p: int) -> int:
     """Genus of the quotient of X_0(p) by its Fricke involution, p prime.
 

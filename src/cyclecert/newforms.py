@@ -134,7 +134,11 @@ def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
 
 
 class NewformClient:
-    """Fetches and caches newform records; safe to share across threads."""
+    """Fetches and caches newform records; safe to share across threads.
+
+    The settings are checked once, here, after the environment overrides:
+    a malformed one raises ValueError.
+    """
 
     def __init__(
         self,
@@ -153,6 +157,14 @@ class NewformClient:
         self.timeout_ms = int(env_timeout) if env_timeout else timeout_ms
         self.rate_limit_per_sec = rate_limit_per_sec
         self.fixtures_dir = fixtures_dir
+        for name in ("base_url", "cache_dir", "fixtures_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError("%s must be a string or null" % name)
+        # type(), not isinstance(): a JSON true is no count or rate
+        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be a positive integer")
+        if type(rate_limit_per_sec) not in (int, float) or not rate_limit_per_sec > 0:
+            raise ValueError("rate_limit_per_sec must be a positive number")
         self._fetch_json = fetch_json or self._http_fetch_json
         self._monotonic = monotonic
         self._sleep = sleep

@@ -222,28 +222,22 @@ def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     return _divisor_class(gen.level, heeg, omega, gen._four_nm != 0)
 
 
-_INVERSE_THETA: dict[int, list[int]] = {}
-
-
 def _inverse_theta(level: int, length: int) -> list[int]:
-    """First `length` (or more) coefficients of 1/theta(q^N), theta = 1 + 2*sum_{k>=1} q^(k^2).
+    """First `length` (at least one) coefficients of 1/theta(q^N), theta = 1 + 2*sum_{k>=1} q^(k^2).
 
-    c_0 = 1 and c_j = -2 * sum_{k>=1} c_{j - N*k**2}.  Cached per level and
-    extended on demand; an extension replaces the cached list, never mutates it.
+    c_0 = 1 and c_j = -2 * sum_{k>=1} c_{j - N*k**2}.  Computed per call and
+    kept nowhere: the recurrence costs a small share of the ladder built on it.
     """
-    coeffs = _INVERSE_THETA.get(level, [1])
-    if len(coeffs) < length:
-        coeffs = list(coeffs)
-        for j in range(len(coeffs), length):
-            acc = 0
-            k = 1
-            step = level
-            while step <= j:
-                acc += coeffs[j - step]
-                k += 1
-                step = level * k * k
-            coeffs.append(-2 * acc)
-        _INVERSE_THETA[level] = coeffs
+    coeffs = [1]
+    for j in range(1, length):
+        acc = 0
+        k = 1
+        step = level
+        while step <= j:
+            acc += coeffs[j - step]
+            k += 1
+            step = level * k * k
+        coeffs.append(-2 * acc)
     return coeffs
 
 

@@ -150,6 +150,26 @@ def test_config_file(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "cfg,argv",
+    [
+        ({"rate_limit_per_sec": 0}, ["newforms", "37", "--online"]),
+        ({"timeout_ms": "abc", "base_url": "http://localhost:9/"}, ["newforms", "37", "--online"]),
+        (["cache_dir"], ["newforms", "37"]),
+        ({"cache_dir": 5}, ["certify", "74"]),
+    ],
+)
+def test_malformed_config_is_one_error_line(tmp_path, capsys, cfg, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = main(["--config", str(path), *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_every_fixture_level_serves_valid_json(capsys):
     from cyclecert.newforms import fixture_levels
 

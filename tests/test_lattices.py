@@ -139,7 +139,7 @@ def test_q_even_under_negation():
         for r1 in range(2 * n):
             for r2 in range(2 * n):
                 mu = DiscElement(n, r1, r2)
-                neg = -mu
+                neg = DiscElement(n, -r1, -r2)
                 for side in ("trace0", "scalar", "full"):
                     assert q_mod1(mu, side) == q_mod1(neg, side)
 
