@@ -3,13 +3,16 @@
 Every certificate criterion is read off the factorization of N, so this is the
 one module that factors.  `factor` is complete for every N up to the size
 bound of the certificate; above it, where the bound clause already decides,
-a composite piece may be returned unsplit as the cofactor.
+a composite piece may be returned unsplit as the cofactor.  `_Record`, the
+base of the package's value records, lives here because every other module
+imports this one.
 """
 
 from __future__ import annotations
 
 from itertools import count
 from math import gcd, isqrt, prod
+from operator import attrgetter
 
 LISTED_PRIMES = (37, 43, 53, 61, 67)
 LARGE_PRIME_FLOOR = 71
@@ -136,3 +139,40 @@ def divisors(factors: dict[int, int]) -> list[int]:
     for p, e in factors.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+class _Record:
+    """Base of the value records: equality, hash and repr over the fields in `_fields`.
+
+    A subclass names its fields in `_fields` and fills them in `__init__` with
+    one `self.__dict__.update(...)`.  Records compare equal only to records of
+    the same class, and assigning or deleting an attribute afterwards raises
+    AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a plain attribute, not a method: call it as self._values(self)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)

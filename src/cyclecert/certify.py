@@ -9,9 +9,7 @@ triviality; the criteria are sufficient, not necessary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, factor, large_level_bound
+from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, _Record, factor, large_level_bound
 from .modcurves import CurveProfile, cover_profile
 from .newforms import (
     NewformClient,
@@ -34,18 +32,28 @@ CLAUSE_NONE = "none"
 _PROFILE_MAX_LEVEL = 60
 
 
-@dataclass(frozen=True)
-class Certificate:
-    level: int
-    verdict: str
-    clause: str
-    witnesses: tuple[dict, ...]
-    curve_profile: CurveProfile | None
-    justification: str
+class Certificate(_Record):
+    _fields = ("level", "verdict", "clause", "witnesses", "curve_profile", "justification")
 
-    def __post_init__(self) -> None:
-        if (self.verdict == VERDICT_PROVEN) != (self.clause != CLAUSE_NONE):
+    def __init__(
+        self,
+        level: int,
+        verdict: str,
+        clause: str,
+        witnesses: tuple[dict, ...],
+        curve_profile: CurveProfile | None,
+        justification: str,
+    ) -> None:
+        if (verdict == VERDICT_PROVEN) != (clause != CLAUSE_NONE):
             raise ValueError("verdict and clause are inconsistent")
+        self.__dict__.update(
+            level=level,
+            verdict=verdict,
+            clause=clause,
+            witnesses=witnesses,
+            curve_profile=curve_profile,
+            justification=justification,
+        )
 
 
 def certify(

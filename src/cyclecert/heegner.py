@@ -18,24 +18,23 @@ p^e + p^(e-1) points searched.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factor
+from .arith import _Record, factor
 
 
 class CongruenceError(ValueError):
     """Raised when (m0, r1) violates m0 = -r1**2/4N mod 1, the one way a key with m0 > 0 can fail."""
 
 
-@dataclass(frozen=True)
-class BQForm:
+class BQForm(_Record):
     """Integral binary quadratic form a*x**2 + b*x*y + c*y**2."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int) -> None:
+        self.__dict__.update(a=a, b=b, c=c)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -139,52 +138,60 @@ def heegner_r_values(level: int, disc: int) -> list[int]:
     return [r for r in range(2 * level) if (r * r - disc) % (4 * level) == 0]
 
 
-@dataclass(frozen=True)
-class HeegnerIndex:
+class HeegnerIndex(_Record):
     """Index (N, D, r) of a Heegner divisor: D < 0 a discriminant, r**2 = D mod 4N."""
 
-    level: int
-    disc: int
-    r: int
+    _fields = ("level", "disc", "r")
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(self, level: int, disc: int, r: int) -> None:
+        if level < 1:
             raise ValueError("level must be a positive integer")
-        if self.disc >= 0:
+        if disc >= 0:
             raise ValueError("disc must be negative")
-        if self.disc % 4 in (2, 3):
+        if disc % 4 in (2, 3):
             raise ValueError("disc must be 0 or 1 mod 4")
-        object.__setattr__(self, "r", self.r % (2 * self.level))
-        if (self.r * self.r - self.disc) % (4 * self.level) != 0:
+        r %= 2 * level
+        if (r * r - disc) % (4 * level) != 0:
             raise ValueError("r**2 must be disc mod 4N")
+        self.__dict__.update(level=level, disc=disc, r=r)
 
     def self_paired(self) -> bool:
         """True when r = -r mod 2N, so the paired divisor is 2x a single one."""
         return (2 * self.r) % (2 * self.level) == 0
 
 
-@dataclass(frozen=True)
-class HeegnerDivisor:
-    index: HeegnerIndex
-    classes: tuple[tuple[BQForm, Fraction], ...]
-    degree: Fraction
-    self_paired: bool
+class HeegnerDivisor(_Record):
+    _fields = ("index", "classes", "degree", "self_paired")
+
+    def __init__(
+        self,
+        index: HeegnerIndex,
+        classes: tuple[tuple[BQForm, Fraction], ...],
+        degree: Fraction,
+        self_paired: bool,
+    ) -> None:
+        self.__dict__.update(index=index, classes=classes, degree=degree, self_paired=self_paired)
 
 
 def _p1_canon(p: int, q: int, n: int) -> tuple[int, int]:
     """Canonical point of (p : q) in P^1(Z/n): the least (u*p, u*q) mod n over units u.
 
     With g = gcd(p, n) and m = n/g the least u*p is g (0 when g = n), reached
-    exactly by the units u = (p/g)^-1 mod m; the second coordinate is the
-    least u*q over those g residues mod n, so a call costs O(g) steps.
+    exactly by the units u = u0 mod m, u0 = (p/g)^-1 mod m.  As gcd(q, g) = 1,
+    the u = u0 mod m, units or not, take u*q mod n through every
+    x = (u0*q mod m) + j*m, j < g, and u is a unit exactly when x is prime
+    to g.  So the second coordinate is the first such x in increasing j, a
+    few steps at most.
     """
     g = gcd(p, n)
     if g == n:
         # u*p = 0 for every unit u, and the orbit of q has least element gcd(q, n)
         return (0, gcd(q, n) % n)
     m = n // g
-    u0 = pow(p // g, -1, m)
-    return (g, min(u * q % n for u in range(u0, n, m) if gcd(u, n) == 1))
+    x = pow(p // g, -1, m) * q % m
+    while gcd(x, g) != 1:
+        x += m
+    return (g, x)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -232,8 +239,8 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
     (a, (b + r)/2) and ((b - r)/2, c).  M is built from the canonical label
     of each kernel point, and the automorphs of R (order 2 or 3 mod +-1 in
     the two exceptional shapes) glue labels that give equivalent forms.  A
-    reduced form costs one local solve per prime of N and an O(gcd(p, N))
-    label, plus a search of P^1(Z/l^e) at a prime l | gcd(D, N) dividing the
+    reduced form costs one local solve per prime of N and a label in a few
+    steps, plus a search of P^1(Z/l^e) at a prime l | gcd(D, N) dividing the
     whole system.  The weighted degree is H(|D|) whenever gcd(D, N) = 1.
     """
     n, disc, r = idx.level, idx.disc, idx.r

@@ -18,7 +18,7 @@ describe its Gram matrix.  Everything is integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .arith import _Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -38,22 +38,19 @@ def _pinned_gram(level: int, rank: int) -> Matrix | None:
     return None
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(_Record):
     """One of the two pinned level-N lattices, given by its Gram matrix."""
 
-    rank: int
-    gram: Matrix
-    signature: tuple[int, int]
-    level: int
+    _fields = ("rank", "gram", "signature", "level")
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(self, rank: int, gram: Matrix, signature: tuple[int, int], level: int) -> None:
+        if level < 1:
             raise ValueError("level must be a positive integer")
-        if self.gram != _pinned_gram(self.level, self.rank) or self.signature != _SIGNATURES.get(self.rank):
+        if gram != _pinned_gram(level, rank) or signature != _SIGNATURES.get(rank):
             raise ValueError(
-                "gram matrix and signature must be the pinned level-%d ones of rank 3 or 4" % self.level
+                "gram matrix and signature must be the pinned level-%d ones of rank 3 or 4" % level
             )
+        self.__dict__.update(rank=rank, gram=gram, signature=signature, level=level)
 
     def disc_group_order(self) -> int:
         """Order of dual/lattice quotient, |det(gram)| = (2N)**(rank - 2)."""
@@ -81,8 +78,7 @@ def full_matrix_lattice(level: int) -> GramLattice:
     return GramLattice(rank=4, gram=_pinned_gram(level, 4), signature=_SIGNATURES[4], level=level)
 
 
-@dataclass(frozen=True)
-class DiscElement:
+class DiscElement(_Record):
     """Element of the rank-4 lattice's discriminant group as a residue pair mod 2N.
 
     r1 indexes the trace-zero component (r -> diag(r, -r)/2N), r2 the scalar
@@ -91,16 +87,13 @@ class DiscElement:
     splitting is unique.
     """
 
-    level: int
-    r1: int
-    r2: int
+    _fields = ("level", "r1", "r2")
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(self, level: int, r1: int, r2: int) -> None:
+        if level < 1:
             raise ValueError("level must be a positive integer")
-        m = 2 * self.level
-        object.__setattr__(self, "r1", self.r1 % m)
-        object.__setattr__(self, "r2", self.r2 % m)
+        m = 2 * level
+        self.__dict__.update(level=level, r1=r1 % m, r2=r2 % m)
 
     def is_zero(self) -> bool:
         return self.r1 == 0 and self.r2 == 0

@@ -12,7 +12,6 @@ bounded `lru_cache`; the rest is recomputed per call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import prod
 
 from . import arith
@@ -56,19 +55,13 @@ def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
     return genus
 
 
-@dataclass(frozen=True)
-class CurveProfile:
-    label: str
-    level: int
-    index: int
-    nu2: int
-    nu3: int
-    cusps: int
-    genus: int
+class CurveProfile(arith._Record):
+    _fields = ("label", "level", "index", "nu2", "nu3", "cusps", "genus")
 
-    def __post_init__(self) -> None:
-        if _genus(self.index, self.nu2, self.nu3, self.cusps) != self.genus:
+    def __init__(self, label: str, level: int, index: int, nu2: int, nu3: int, cusps: int, genus: int) -> None:
+        if _genus(index, nu2, nu3, cusps) != genus:
             raise ValueError("genus inconsistent with index/elliptic/cusp data")
+        self.__dict__.update(label=label, level=level, index=index, nu2=nu2, nu3=nu3, cusps=cusps, genus=genus)
 
 
 def x0_profile(level: int) -> CurveProfile:

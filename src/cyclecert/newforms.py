@@ -16,7 +16,6 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from importlib import resources
 
 from . import arith
@@ -44,27 +43,28 @@ class WitnessIndeterminate(RuntimeError):
     """A witness scan could not complete; distinct from a definite 'no witness'."""
 
 
-@dataclass(frozen=True)
-class NewformRecord:
-    level: int
-    label: str
-    weight: int
-    fricke_sign: int
-    analytic_rank: int
-    source: str
+class NewformRecord(arith._Record):
+    _fields = ("level", "label", "weight", "fricke_sign", "analytic_rank", "source")
 
-    def __post_init__(self) -> None:
-        if self.weight != 2:
+    def __init__(
+        self, level: int, label: str, weight: int, fricke_sign: int, analytic_rank: int, source: str
+    ) -> None:
+        if weight != 2:
             raise ValueError("only weight-2 records are supported")
-        if self.fricke_sign not in (1, -1):
+        if fricke_sign not in (1, -1):
             raise ValueError("fricke_sign must be +1 or -1")
-        if self.analytic_rank < 0:
+        if analytic_rank < 0:
             raise ValueError("analytic_rank must be nonnegative")
-        if (self.analytic_rank % 2 == 1) != (self.fricke_sign == -1):
-            raise ValueError(
-                "analytic rank parity inconsistent with functional-equation sign "
-                "for %s" % self.label
-            )
+        if (analytic_rank % 2 == 1) != (fricke_sign == -1):
+            raise ValueError("analytic rank parity inconsistent with functional-equation sign for %s" % label)
+        self.__dict__.update(
+            level=level,
+            label=label,
+            weight=weight,
+            fricke_sign=fricke_sign,
+            analytic_rank=analytic_rank,
+            source=source,
+        )
 
 
 def _normalize_record(raw: object, level: int, source: str, index: int) -> NewformRecord:

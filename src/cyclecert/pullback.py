@@ -17,10 +17,10 @@ construction, and `Fraction` keys appear only in what is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from .arith import _Record
 from .heegner import hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
@@ -28,35 +28,45 @@ from .modcurves import cover_degree_over_x0
 HeegKey = tuple[Fraction, int]
 
 
-@dataclass
-class DivisorClass:
+class DivisorClass(_Record):
     """Formal divisor class: Heegner coefficients plus Omega and Cusp parts.
 
     `cusp_ambiguous` means the cusp coefficient is a representative only,
     defined up to an undetermined integer.  Construction validates every key
     with a nonzero coefficient; sums and multiples of classes reuse their
-    operands' keys without checking them again.
+    operands' keys without checking them again.  Unlike the other records a
+    class is mutable, and so unhashable.
     """
 
-    level: int
-    heeg_coeffs: dict[HeegKey, Fraction] = field(default_factory=dict)
-    omega_coeff: Fraction = Fraction(0)
-    cusp_coeff: Fraction = Fraction(0)
-    cusp_ambiguous: bool = False
+    _fields = ("level", "heeg_coeffs", "omega_coeff", "cusp_coeff", "cusp_ambiguous")
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(
+        self,
+        level: int,
+        heeg_coeffs: dict[HeegKey, Fraction] | None = None,
+        omega_coeff: Fraction = Fraction(0),
+        cusp_coeff: Fraction = Fraction(0),
+        cusp_ambiguous: bool = False,
+    ) -> None:
+        if level < 1:
             raise ValueError("level must be a positive integer")
         cleaned: dict[HeegKey, Fraction] = {}
-        for (m0, r1), coeff in self.heeg_coeffs.items():
+        for (m0, r1), coeff in (heeg_coeffs or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            key = (Fraction(m0), special_divisor_index(self.level, m0, r1).r)
+            key = (Fraction(m0), special_divisor_index(level, m0, r1).r)
             cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
-        self.heeg_coeffs = {k: v for k, v in cleaned.items() if v != 0}
-        self.omega_coeff = Fraction(self.omega_coeff)
-        self.cusp_coeff = Fraction(self.cusp_coeff)
+        self.__dict__.update(
+            level=level,
+            heeg_coeffs={k: v for k, v in cleaned.items() if v != 0},
+            omega_coeff=Fraction(omega_coeff),
+            cusp_coeff=Fraction(cusp_coeff),
+            cusp_ambiguous=cusp_ambiguous,
+        )
 
     @classmethod
     def _from_valid(
@@ -116,8 +126,7 @@ def _check_congruence(four_nm: Fraction | int, mu: DiscElement) -> None:
         raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (Fraction(four_nm, four_n), mu))
 
 
-@dataclass(frozen=True)
-class AmbientGenerator:
+class AmbientGenerator(_Record):
     """Generator Z*(m, mu) of the divisor algebra on the product surface.
 
     (0, 0) denotes the inverse tautological-square class of the surface;
@@ -126,17 +135,15 @@ class AmbientGenerator:
     equality, hashing or repr.
     """
 
-    m: Fraction
-    mu: DiscElement
+    _fields = ("m", "mu")
 
-    def __post_init__(self) -> None:
-        m = Fraction(self.m)
+    def __init__(self, m: Fraction, mu: DiscElement) -> None:
+        m = Fraction(m)
         if m < 0:
             raise ValueError("m must be nonnegative")
-        four_nm = m * 4 * self.mu.level
-        _check_congruence(four_nm, self.mu)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_four_nm", four_nm.numerator)
+        four_nm = m * 4 * mu.level
+        _check_congruence(four_nm, mu)
+        self.__dict__.update(m=m, mu=mu, _four_nm=four_nm.numerator)
 
     @classmethod
     def _rung(cls, four_nm: int, mu: DiscElement) -> "AmbientGenerator":
@@ -151,14 +158,21 @@ class AmbientGenerator:
         return self.mu.level
 
 
-@dataclass(frozen=True)
-class PullbackDecomposition:
+class PullbackDecomposition(_Record):
     """Coefficients on ambient generators realizing a Heegner divisor as a pullback."""
 
-    level: int
-    target: HeegKey
-    terms: tuple[tuple[AmbientGenerator, Fraction], ...]
-    residual_cusp_ambiguous: bool = True
+    _fields = ("level", "target", "terms", "residual_cusp_ambiguous")
+
+    def __init__(
+        self,
+        level: int,
+        target: HeegKey,
+        terms: tuple[tuple[AmbientGenerator, Fraction], ...],
+        residual_cusp_ambiguous: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            level=level, target=target, terms=terms, residual_cusp_ambiguous=residual_cusp_ambiguous
+        )
 
     def coefficient(self, gen: AmbientGenerator) -> Fraction:
         for g, c in self.terms:

@@ -6,7 +6,8 @@ discriminant groups by Smith normal form, the discriminant form and matrix
 representatives of discriminant-group elements from their residues,
 modular-curve data by direct coset/orbit
 enumeration, elliptic-point counts by polynomial root counting, primality
-by trial division (or sympy above 10**12), Heegner divisors by transforming
+by trial division (or sympy above 10**12), canonical points of P^1(Z/N)
+by minima over units, Heegner divisors by transforming
 every reduced form by all psi(N) coset representatives, the newform
 witness by scanning every divisor of n, the pullback of a generator by
 visiting every candidate splitting, and the round-trip residual through a
@@ -398,6 +399,21 @@ def p1_canon_by_units(p: int, q: int, n: int) -> tuple[int, int]:
     if n == 1:
         return (0, 0)
     return min(((u * p) % n, (u * q) % n) for u in _units(n))
+
+
+def p1_canon_by_unit_lifts(p: int, q: int, n: int) -> tuple[int, int]:
+    """Canonical point of (p : q) in P^1(Z/n) by a minimum over the g = gcd(p, n) lifts of (p/g)^-1 mod n/g.
+
+    The least u*p is g (0 when g = n), reached exactly by the units
+    u = (p/g)^-1 mod n/g; the second coordinate is the least u*q over those
+    units, O(g) steps with a gcd each.
+    """
+    g = gcd(p, n)
+    if g == n:
+        return (0, gcd(q, n) % n)
+    m = n // g
+    u0 = pow(p // g, -1, m)
+    return (g, min(u * q % n for u in range(u0, n, m) if gcd(u, n) == 1))
 
 
 def psi_by_trial_division(n: int) -> int:

@@ -25,6 +25,7 @@ from oracles import (
     coset_reps_by_sweep,
     heegner_divisor_by_coset_scan,
     labels_by_coset_scan,
+    p1_canon_by_unit_lifts,
     p1_canon_by_units,
     psi_by_trial_division,
 )
@@ -228,6 +229,15 @@ def test_p1_canon_matches_min_over_units():
                 assert _p1_canon(p - 2 * n, q + 3 * n, n) == expected
 
 
+def test_p1_canon_matches_unit_lift_oracle_up_to_level_300():
+    # every point of P^1(Z/n), through two representatives that are not its label
+    for n in range(1, 301):
+        u = next((u for u in range(2, n) if gcd(u, n) == 1), 1)
+        for (p, q), _ in coset_reps_by_sweep(n):
+            for x, y in ((-p, -q), (u * p, u * q)):
+                assert _p1_canon(x - 2 * n, y + 3 * n, n) == p1_canon_by_unit_lifts(x, y, n) == (p, q)
+
+
 def _check_coset_reps(n, reps):
     assert len(reps) == psi_by_trial_division(n)
     labels = [label for label, _ in reps]
@@ -310,6 +320,17 @@ def test_enumeration_at_level_600_is_fast_cold():
     elapsed = time.perf_counter() - t0
     assert div.degree == hurwitz_class_number(1511)
     assert elapsed < 0.5
+
+
+def test_enumeration_is_fast_when_labels_share_a_large_prime_with_the_level():
+    # kernel points here have a first coordinate divisible by p = 10000019, so
+    # a label search linear in gcd(first coordinate, N) would take seconds
+    p = 10000019
+    t0 = time.perf_counter()
+    div = enumerate_heegner_divisor(HeegnerIndex(5 * p, 1 - 4 * p, 40000075))
+    elapsed = time.perf_counter() - t0
+    assert div.degree == len(div.classes) == 1800
+    assert elapsed < 1.0
 
 
 def test_enumeration_at_level_30030_is_fast_and_keeps_no_memory():

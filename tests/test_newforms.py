@@ -223,12 +223,29 @@ def test_http_failures_are_transient(monkeypatch, urlopen):
         client.fetch_newforms(37, mode="online")
 
 
-def test_cli_import_loads_no_http_stack():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(cyclecert.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, cyclecert.cli; print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
+def test_cli_import_loads_no_http_stack():
+    out = _run_python("import sys, cyclecert.cli; print(sorted({'requests', 'urllib.request'} & set(sys.modules)))")
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_process_loads_neither_dataclasses_nor_inspect():
+    # every CLI process would pay for both modules, and for building records with them
+    code = (
+        "import sys, cyclecert.cli\n"
+        "slow = {'dataclasses', 'inspect'}\n"
+        "print(sorted(slow & set(sys.modules)), file=sys.stderr)\n"
+        "code = cyclecert.cli.main(['certify', '1000000007'])\n"
+        "print(code, sorted(slow & set(sys.modules)), file=sys.stderr)\n"
+    )
+    out = _run_python(code)
+    assert json.loads(out.stdout)["verdict"] == "proven_nontrivial"
+    assert out.stderr.splitlines() == ["[]", "0 []"]
 
 
 def test_malformed_payload_reports_record_index():
