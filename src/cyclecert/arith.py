@@ -3,9 +3,11 @@
 Every certificate criterion is read off the factorization of N, so this is the
 one module that factors.  `factor` is complete for every N up to the size
 bound of the certificate; above it, where the bound clause already decides,
-a composite piece may be returned unsplit as the cofactor.  `_Record`, the
-base of the package's value records, lives here because every other module
-imports this one.
+a composite piece may be returned unsplit as the cofactor.  Code that needs
+the complete factorization calls `_level_factors`, the one place where an
+unsplit cofactor becomes a LevelBoundError.  `_Record`, the base of the
+package's value records, lives here because every other module imports
+this one.
 """
 
 from __future__ import annotations
@@ -126,6 +128,26 @@ def factor(n: int) -> tuple[dict[int, int], int]:
             d = _rho(x)
             pieces += [d, x // d]
     return dict(sorted(factors.items())), cofactor
+
+
+class LevelBoundError(ValueError):
+    """Level above the factoring bound whose composite part `factor` leaves unsplit.
+
+    Raised by `_level_factors` for every computation that needs a complete
+    factorization: curve profiles, group orders, the cover degree and
+    Heegner enumeration.
+    """
+
+
+def _level_factors(n: int) -> dict[int, int]:
+    """The complete factorization of n, or LevelBoundError naming n."""
+    factors, cofactor = factor(n)
+    if cofactor > 1:
+        raise LevelBoundError(
+            "level %d has a composite factor of %d digits above the factoring bound"
+            % (n, len(str(cofactor)))
+        )
+    return factors
 
 
 def phi(factors: dict[int, int]) -> int:

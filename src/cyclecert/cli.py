@@ -61,15 +61,7 @@ def _lattice_payload(lat) -> dict:
 
 
 def _profile_payload(profile) -> dict:
-    return {
-        "label": profile.label,
-        "level": profile.level,
-        "index": profile.index,
-        "nu2": profile.nu2,
-        "nu3": profile.nu3,
-        "cusps": profile.cusps,
-        "genus": profile.genus,
-    }
+    return {name: getattr(profile, name) for name in profile._fields}
 
 
 def _cmd_lattice(args) -> tuple[dict, int]:
@@ -141,15 +133,8 @@ def _cmd_genus(args) -> tuple[dict, int]:
     elif args.curve == "xn":
         payload = _profile_payload(modcurves.cover_profile(args.N))
     else:
-        payload = {
-            "label": "x0star",
-            "level": args.N,
-            "index": None,
-            "nu2": None,
-            "nu3": None,
-            "cusps": None,
-            "genus": modcurves.fricke_quotient_genus(args.N),
-        }
+        payload = dict.fromkeys(modcurves.CurveProfile._fields)
+        payload.update(label="x0star", level=args.N, genus=modcurves.fricke_quotient_genus(args.N))
     payload["kind"] = "genus"
     return payload, EXIT_OK
 
@@ -177,17 +162,7 @@ def _cmd_newforms(args) -> tuple[dict, int]:
         "kind": "newforms",
         "level": args.M,
         "mode": mode,
-        "records": [
-            {
-                "level": r.level,
-                "label": r.label,
-                "weight": r.weight,
-                "fricke_sign": r.fricke_sign,
-                "analytic_rank": r.analytic_rank,
-                "source": r.source,
-            }
-            for r in records
-        ],
+        "records": [{name: getattr(r, name) for name in r._fields} for r in records],
     }
     return out, EXIT_OK
 

@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import _Record, factor
+from .arith import _level_factors, _Record
 
 
 class CongruenceError(ValueError):
@@ -211,8 +211,9 @@ def _local_kernel(rows: tuple[tuple[int, int], ...], p: int, q: int) -> list[tup
 
 
 def _crt_basis(n: int) -> list[tuple[int, int, int]]:
-    # (p, q, E) for each prime power q = p^e exactly dividing N, with E = 1 mod q and 0 mod N/q
-    return [(p, p**e, n // p**e * pow(n // p**e, -1, p**e)) for p, e in factor(n)[0].items()]
+    # (p, q, E) for each prime power q = p^e exactly dividing N, with E = 1 mod q and 0 mod N/q;
+    # LevelBoundError when N is above the factoring bound and not split completely
+    return [(p, p**e, n // p**e * pow(n // p**e, -1, p**e)) for p, e in _level_factors(n).items()]
 
 
 def _admissible_labels(form: BQForm, n: int, r: int, basis: list[tuple[int, int, int]]) -> set[tuple[int, int]]:

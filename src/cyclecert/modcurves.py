@@ -3,10 +3,12 @@
 Three curves matter: X_0(N), its Fricke quotient at prime level, and the
 torsion-free cover cut out by the subgroup of SL2(Z) with b = 0 mod 2,
 c = 0 mod 2N, d = 1 mod 2N.  The data of X_0(N) and of the cover are closed
-forms in the factorization of the level, so they cost what factoring the
-level costs; the only levels refused are those above the factoring bound
-whose composite part stays unsplit.  Only `cover_profile` is cached, in a
-bounded `lru_cache`; the rest is recomputed per call.
+forms in the factorization of the level, each factored once, so they cost
+what factoring the level costs; the only levels refused are those above the
+factoring bound whose composite part stays unsplit.  The cover curve's degree
+over X_0(N) is 6 at N = 1, 4*phi(N) for even N and 3*phi(N) for odd N > 1.
+Only `cover_profile` is cached, in a bounded `lru_cache`; the rest is
+recomputed per call.
 """
 
 from __future__ import annotations
@@ -15,21 +17,13 @@ import functools
 from math import prod
 
 from . import arith
+from .arith import LevelBoundError  # re-exported, so modcurves.LevelBoundError is the same class
 from .heegner import class_number
 
 
-class LevelBoundError(ValueError):
-    """Level above the factoring bound with a composite part left unsplit."""
-
-
-def _level_factors(n: int) -> dict[int, int]:
-    factors, cofactor = arith.factor(n)
-    if cofactor > 1:
-        raise LevelBoundError(
-            "level %d has a composite factor of %d digits above the factoring bound"
-            % (n, len(str(cofactor)))
-        )
-    return factors
+def _phi_power(p: int, e: int) -> int:
+    # phi(p**e), with no factorization dict to build
+    return p ** (e - 1) * (p - 1) if e else 1
 
 
 def sl2_order(m: int) -> int:
@@ -37,7 +31,7 @@ def sl2_order(m: int) -> int:
     if m < 1:
         raise ValueError("modulus must be positive")
     order = m**3
-    for p in _level_factors(m):
+    for p in arith._level_factors(m):
         order = order // (p * p) * (p * p - 1)
     return order
 
@@ -69,7 +63,7 @@ def x0_profile(level: int) -> CurveProfile:
     if level < 1:
         raise ValueError("level must be a positive integer")
     n = level
-    factors = _level_factors(n)
+    factors = arith._level_factors(n)
     index = n
     for p in factors:
         index = index // p * (p + 1)
@@ -78,7 +72,7 @@ def x0_profile(level: int) -> CurveProfile:
     nu3 = 0 if n % 9 == 0 else prod(2 if p % 3 == 1 else 0 for p in factors if p != 3)
     # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
     # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
-    cusps = prod(sum(arith.phi({p: min(i, e - i)}) for i in range(e + 1)) for p, e in factors.items())
+    cusps = prod(sum(_phi_power(p, min(i, e - i)) for i in range(e + 1)) for p, e in factors.items())
     return CurveProfile("x0", n, index, nu2, nu3, cusps, _genus(index, nu2, nu3, cusps))
 
 
@@ -94,8 +88,13 @@ def cover_profile(level: int) -> CurveProfile:
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    factors = _level_factors(level)  # so that a refusal names N, not 2N
-    index = psl2_order(2 * level) // level
+    factors = arith._level_factors(level)
+    # |PSL2(Z/2N)| / N = 4N**2 * prod(1 - 1/p**2) over p | 2N, twice that at
+    # N = 1 where -I = I; the primes of 2N are those of N and 2
+    twice_factors = {**factors, 2: factors.get(2, 0) + 1}
+    index = 4 * level * level if level > 1 else 8
+    for p in twice_factors:
+        index = index // (p * p) * (p * p - 1)
     if level == 1:
         cusps = 3  # -I lies in the group, the three cusps of Gamma(2)
     else:
@@ -104,9 +103,9 @@ def cover_profile(level: int) -> CurveProfile:
         # phi(p^i) * phi(p^(e - i)), halved at p = 2, i = e.  That term can
         # be a half-integer, so count twice the cusps and halve once.
         twice = 1
-        for p, e in {**factors, 2: factors.get(2, 0) + 1}.items():
-            local = sum(arith.phi({p: i}) * arith.phi({p: e - i}) for i in range(e + 1))
-            twice *= 2 * local - arith.phi({p: e}) if p == 2 else local
+        for p, e in twice_factors.items():
+            local = sum(_phi_power(p, i) * _phi_power(p, e - i) for i in range(e + 1))
+            twice *= 2 * local - _phi_power(p, e) if p == 2 else local
         cusps, odd = divmod(twice, 2)
         assert odd == 0
     return CurveProfile("xn", level, index, 0, 0, cusps, _genus(index, 0, 0, cusps))
@@ -146,9 +145,14 @@ def minus_newspace_dim(p: int) -> int:
 
 
 def cover_degree_over_x0(level: int) -> int:
-    """Degree of the natural projection from the cover curve to X_0(N)."""
-    num = cover_profile(level).index
-    den = x0_profile(level).index
-    if num % den != 0:
-        raise RuntimeError("index ratio is not integral at level %d" % level)
-    return num // den
+    """Degree of the natural projection from the cover curve to X_0(N).
+
+    The index ratio 4N**2 * prod(1 - 1/p**2 : p | 2N) / (N * prod(1 + 1/p : p | N))
+    in closed form: 6 at N = 1, 4*phi(N) for even N and 3*phi(N) for odd N > 1.
+    """
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+    factors = arith._level_factors(level)
+    if level == 1:
+        return 6
+    return (3 if level % 2 else 4) * arith.phi(factors)

@@ -250,16 +250,7 @@ class NewformClient:
         payload = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "level": level,
-            "records": [
-                {
-                    "level": r.level,
-                    "label": r.label,
-                    "weight": r.weight,
-                    "fricke_sign": r.fricke_sign,
-                    "analytic_rank": r.analytic_rank,
-                }
-                for r in records
-            ],
+            "records": [{name: getattr(r, name) for name in r._fields if name != "source"} for r in records],
         }
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
@@ -365,10 +356,10 @@ def witness_minus_rank1(
     if mode == "offline":
         scan = [m for m in sorted(client.available_offline_levels()) if n % m == 0]
     else:
-        factors, cofactor = arith.factor(n)
-        if cofactor > 1:
-            raise WitnessIndeterminate("cannot enumerate divisors of %d" % n)
-        scan = sorted(arith.divisors(factors))
+        try:
+            scan = arith.divisors(arith._level_factors(n))
+        except arith.LevelBoundError as exc:
+            raise WitnessIndeterminate("cannot enumerate divisors of %d" % n) from exc
     for m in scan:
         try:
             records = client.fetch_newforms(m, mode=mode)

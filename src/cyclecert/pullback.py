@@ -7,12 +7,14 @@ this algebra with a cusp coefficient that is only defined up to an integer;
 that ambiguity is carried as a flag and never guessed, and all round-trip
 comparisons are on Heegner coefficients alone.
 
-Keys are validated once, where they enter: `decompose_heegner` and
-`verify_decomposition` check their target, `DivisorClass` and
-`AmbientGenerator` check what they are given.  Inside, a ladder rung's
-congruence m = q(mu) mod 1 is checked in integers on 4N*m, and pullbacks are
-summed on integer keys (4N*m0, r1); every key a pullback reaches is valid by
-construction, and `Fraction` keys appear only in what is returned.
+Keys are validated once, where they enter: `decompose_heegner`,
+`apply_decomposition` and `verify_decomposition` check their target,
+`DivisorClass` and `AmbientGenerator` check what they are given.  Inside, a
+ladder rung's congruence m = q(mu) mod 1 is checked in integers on 4N*m, and
+pullbacks are summed on integer keys (4N*m0, r1); every key a pullback
+reaches is valid by construction, so the classes returned are built without
+checking their keys again, and `Fraction` keys appear only in what is
+returned.
 """
 
 from __future__ import annotations
@@ -79,11 +81,8 @@ class DivisorClass(_Record):
     ) -> "DivisorClass":
         # keys already validated and normalized, coefficients nonzero Fractions
         out = cls.__new__(cls)
-        out.level = level
-        out.heeg_coeffs = heeg_coeffs
-        out.omega_coeff = omega_coeff
-        out.cusp_coeff = cusp_coeff
-        out.cusp_ambiguous = cusp_ambiguous
+        out.__dict__.update(level=level, heeg_coeffs=heeg_coeffs, omega_coeff=omega_coeff,
+                            cusp_coeff=cusp_coeff, cusp_ambiguous=cusp_ambiguous)
         return out
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -210,13 +209,14 @@ def _add_pullback(
 def _divisor_class(
     level: int, heeg: dict[tuple[int, int], int | Fraction], omega: int | Fraction, ambiguous: bool
 ) -> DivisorClass:
+    # the keys are valid by construction and r1 is reduced, so the trusted constructor takes them
     four_n = 4 * level
-    return DivisorClass(
-        level=level,
-        heeg_coeffs={(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c},
-        omega_coeff=Fraction(omega),
-        cusp_coeff=Fraction(0),
-        cusp_ambiguous=ambiguous,
+    return DivisorClass._from_valid(
+        level,
+        {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c},
+        Fraction(omega),
+        Fraction(0),
+        ambiguous,
     )
 
 
@@ -314,7 +314,11 @@ def _sum_pullbacks(
 
 
 def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
-    """Pull back every generator in the decomposition and sum with its coefficients."""
+    """Pull back every generator in the decomposition and sum with its coefficients.
+
+    The decomposition's level and target are validated once, on entry.
+    """
+    special_divisor_index(decomp.level, *decomp.target)
     heeg, omega, ambiguous = _sum_pullbacks(decomp)
     return _divisor_class(decomp.level, heeg, omega, ambiguous)
 

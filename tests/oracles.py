@@ -235,6 +235,7 @@ def _cover_elliptic_counts(level: int) -> tuple[int, int]:
     return nu2, nu3
 
 
+@functools.lru_cache(maxsize=64)
 def cover_profile_by_enumeration(level: int):
     """(index, cusps, nu2, nu3) of the cover curve by enumerating its image in SL2(Z/2N).
 

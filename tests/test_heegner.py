@@ -347,3 +347,36 @@ def test_enumeration_at_level_30030_is_fast_and_keeps_no_memory():
     assert div.degree == 51
     assert elapsed < 0.1
     assert held < 4 * 2**20
+
+
+def test_enumeration_refuses_a_level_above_the_factoring_bound():
+    # the level is a product of two 13-digit primes, above large_level_bound(),
+    # so factor() leaves it unsplit; enumeration refuses with a typed error
+    # rather than an assert (which `python -O` would skip)
+    from cyclecert.arith import large_level_bound
+    from cyclecert.modcurves import LevelBoundError
+
+    n = 1000000000063 * 1000000000091
+    assert n > large_level_bound()
+    idx = HeegnerIndex(n, -7, 247096897505900437541891)
+    start = time.perf_counter()
+    with pytest.raises(LevelBoundError):
+        enumerate_heegner_divisor(idx)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_enumeration_factors_the_level_once(monkeypatch):
+    from cyclecert import arith
+
+    calls = []
+    real = arith.factor
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factor", counted)
+    for idx in (HeegnerIndex(37, -7, 17), HeegnerIndex(30030, -1559, 599), HeegnerIndex(1, -3, 1)):
+        del calls[:]
+        enumerate_heegner_divisor(idx)
+        assert calls == [idx.level]

@@ -1,7 +1,9 @@
+import random
 import time
 
 import pytest
 
+from cyclecert import arith
 from cyclecert.arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, is_prime
 from cyclecert.modcurves import (
     LevelBoundError,
@@ -164,3 +166,44 @@ def test_cover_degree_over_x0():
         assert cover_degree_over_x0(n) * den == num
     # above the level the cover profile was once enumerated to
     assert cover_degree_over_x0(97) == cover_profile(97).index // x0_profile(97).index == 288
+
+
+def test_level_bound_error_is_the_arith_class():
+    assert LevelBoundError is arith.LevelBoundError
+    assert issubclass(LevelBoundError, ValueError)
+
+
+def test_cover_degree_closed_form_against_enumeration():
+    for n in range(1, 61):
+        assert cover_degree_over_x0(n) == cover_profile_by_enumeration(n)[0] // x0_profile(n).index, n
+
+
+def test_cover_degree_closed_form_is_the_index_ratio():
+    rng = random.Random(20)
+    levels = list(range(1, 5001)) + [rng.randrange(1, 10**15) for _ in range(200)]
+    for n in levels:
+        num = cover_profile.__wrapped__(n).index
+        den = x0_profile(n).index
+        assert num % den == 0 and cover_degree_over_x0(n) == num // den, n
+    start = time.perf_counter()
+    with pytest.raises(LevelBoundError):
+        cover_degree_over_x0(999999999989 * 1000000000039)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "fn", [x0_profile, cover_profile.__wrapped__, cover_degree_over_x0, sl2_order], ids=lambda fn: fn.__name__
+)
+def test_each_level_is_factored_once(monkeypatch, fn):
+    calls = []
+    real = arith.factor
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factor", counted)
+    for n in (1, 2, 97, 360, 999983 * 1000003):
+        del calls[:]
+        fn(n)
+        assert calls == [n], (fn, n)

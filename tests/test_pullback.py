@@ -357,3 +357,24 @@ def test_pullback_matches_splitting_oracle():
                     heeg, omega = pullback_by_splitting(level, four_nm, r1, r2)
                     assert d.heeg_coeffs == {(Fraction(k, four_n), r): Fraction(c) for (k, r), c in heeg.items()}
                     assert d.omega_coeff == omega
+
+
+def test_pullback_keys_are_validated_once_at_the_boundary(monkeypatch):
+    # Z*(200, (0, 0)) at level 1 reaches 15 keys, all valid by construction
+    d = pullback_divisor(gen(1, 200, 0, 0))
+    assert len(d.heeg_coeffs) == 15
+    assert d == DivisorClass(1, d.heeg_coeffs, d.omega_coeff, d.cusp_coeff, d.cusp_ambiguous)
+    dec = decompose_heegner(1, 200, 0)
+    calls = []
+    validate = pullback_mod.special_divisor_index
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(pullback_mod, "special_divisor_index", counted)
+    assert pullback_divisor(gen(1, 200, 0, 0)) == d
+    assert calls == []
+    # the decomposition's target, once
+    assert apply_decomposition(dec).heeg_coeffs == {(Fraction(200), 0): 1}
+    assert calls == [(1, Fraction(200), 0)]
