@@ -12,7 +12,8 @@ rows (a, (b + r)/2) and ((b - r)/2, c), whose determinant (r**2 - D)/4 is
 0 mod N.  At each prime power p^e of N that kernel is one point of
 P^1(Z/p^e), read off in O(1) from a row with an entry prime to p, unless p
 divides all four entries (so p | gcd(D, N)); only then are its
-p^e + p^(e-1) points searched.
+p^e + p^(e-1) points searched.  Reduced forms come from one walk, as int
+triples, and a `BQForm` is built only where one is returned.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class BQForm(_Record):
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def content(self) -> int:
-        return gcd(gcd(self.a, abs(self.b)), self.c)
-
     def transformed(self, g: tuple[tuple[int, int], tuple[int, int]]) -> "BQForm":
         """Form Q(g11*x + g12*y, g21*x + g22*y)."""
         (p, q), (s, t) = g
@@ -53,36 +51,39 @@ class BQForm(_Record):
         )
 
 
+def _reduced_triples(n: int) -> list[tuple[int, int, int]]:
+    # (a, b, c) of every reduced form of discriminant -n, sorted; the one walk behind
+    # reduced_forms, both class numbers and the enumeration
+    out = []
+    if n % 4 in (1, 2):
+        return out
+    for b in range(n % 2, isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        for a in range(b or 1, isqrt(m) + 1):
+            if m % a == 0:
+                out.append((a, b, m // a))
+                if 0 < b < a < m // a:
+                    out.append((a, -b, m // a))
+    out.sort()
+    return out
+
+
 def reduced_forms(n: int) -> tuple[BQForm, ...]:
-    """All reduced positive definite forms of discriminant -n.
+    """All reduced positive definite forms of discriminant -n, sorted by (a, b, c).
 
     Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     Imprimitive forms are included.  Empty unless n = 0 or 3 mod 4.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    out: list[BQForm] = []
-    if n % 4 in (1, 2):
-        return ()
-    for b in range(n % 2, isqrt(n // 3) + 1, 2):
-        m = (b * b + n) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                out.append(BQForm(a, b, c))
-                if 0 < b < a < c:
-                    out.append(BQForm(a, -b, c))
-            a += 1
-    return tuple(sorted(out, key=lambda f: (f.a, f.b, f.c)))
+    return tuple(BQForm(a, b, c) for a, b, c in _reduced_triples(n))
 
 
-def _weight_sixths(form: BQForm) -> int:
-    # weights attach to the reduced shape, so imprimitive multiples of the
-    # two exceptional forms are also weighted
-    if form.b == 0 and form.a == form.c:
+def _weight_sixths(a: int, b: int, c: int) -> int:
+    # weights attach to the reduced shape, imprimitive multiples of the exceptional forms included
+    if b == 0 and a == c:
         return 3
-    if form.a == form.b == form.c:
+    if a == b == c:
         return 2
     return 6
 
@@ -99,14 +100,14 @@ def hurwitz_class_number(n: int) -> Fraction:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return Fraction(sum(_weight_sixths(f) for f in reduced_forms(n)), 6)
+    return Fraction(sum(_weight_sixths(*t) for t in _reduced_triples(n)), 6)
 
 
 def class_number(n: int) -> int:
     """Class number h(-n): number of primitive reduced forms of discriminant -n."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return sum(1 for f in reduced_forms(n) if f.content() == 1)
+    return sum(1 for a, b, c in _reduced_triples(n) if gcd(gcd(a, b), c) == 1)
 
 
 def eichler_relation_sides(n: int) -> tuple[Fraction, int]:
@@ -119,12 +120,10 @@ def eichler_relation_sides(n: int) -> tuple[Fraction, int]:
     if n <= 0:
         raise ValueError("n must be positive")
     lhs = Fraction(0)
-    r = 0
-    while r * r <= 4 * n:
+    for r in range(isqrt(4 * n) + 1):
         m = 4 * n - r * r
         term = Fraction(-1, 12) if m == 0 else hurwitz_class_number(m)
         lhs += term if r == 0 else 2 * term
-        r += 1
     rhs = sum(max(d, n // d) for d in range(1, n + 1) if n % d == 0)
     return lhs, rhs
 
@@ -195,19 +194,12 @@ def _p1_canon(p: int, q: int, n: int) -> tuple[int, int]:
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
-def _local_kernel(rows: tuple[tuple[int, int], ...], p: int, q: int) -> list[tuple[int, int]]:
-    # points of P^1(Z/q), q = p^e, on which both rows vanish, given a determinant of 0 mod q
-    for alpha, beta in rows:
-        if alpha % p or beta % p:
-            return [(-beta, alpha)]
-    points = [(1, y) for y in range(q)] + [(p * x, 1) for x in range(q // p)]
-    return [(x, y) for x, y in points if all((al * x + be * y) % q == 0 for al, be in rows)]
+    # (g, x, y) with a*x + b*y = g: the Bezout pair of the recursive form, unrolled
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0)
 
 
 def _crt_basis(n: int) -> list[tuple[int, int, int]]:
@@ -216,18 +208,8 @@ def _crt_basis(n: int) -> list[tuple[int, int, int]]:
     return [(p, p**e, n // p**e * pow(n // p**e, -1, p**e)) for p, e in _level_factors(n).items()]
 
 
-def _admissible_labels(form: BQForm, n: int, r: int, basis: list[tuple[int, int, int]]) -> set[tuple[int, int]]:
-    # canonical labels of the kernel mod N, the local kernels glued by the CRT basis of N
-    a, b, c = form.a, form.b, form.c
-    rows = ((a, (b + r) // 2), ((b - r) // 2, c))
-    points = [(0, 0)]
-    for p, q, idem in basis:
-        points = [(x0 + x * idem, y0 + y * idem) for x0, y0 in points for x, y in _local_kernel(rows, p, q)]
-    return {_p1_canon(x, y, n) for x, y in points}
-
-
-# automorphs of x^2 + y^2 and x^2 + xy + y^2, acting on first columns, keyed by weight in sixths
-_AUTS = {3: ((0, -1), (1, 0)), 2: ((0, -1), (1, 1))}
+# automorph groups mod +-1 of x^2 + y^2 and x^2 + xy + y^2 on first columns, keyed by weight in sixths
+_AUTS = {3: ((1, 0, 0, 1), (0, -1, 1, 0)), 2: ((1, 0, 0, 1), (0, -1, 1, 1), (-1, -1, 1, 0))}
 
 
 def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
@@ -239,40 +221,58 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
     say exactly that (p, s) is in the kernel mod N of the rows
     (a, (b + r)/2) and ((b - r)/2, c).  M is built from the canonical label
     of each kernel point, and the automorphs of R (order 2 or 3 mod +-1 in
-    the two exceptional shapes) glue labels that give equivalent forms.  A
-    reduced form costs one local solve per prime of N and a label in a few
-    steps, plus a search of P^1(Z/l^e) at a prime l | gcd(D, N) dividing the
-    whole system.  The weighted degree is H(|D|) whenever gcd(D, N) = 1.
+    the two exceptional shapes) glue labels that give equivalent forms.
+    Each representative is checked for N | a' and b' = r mod 2N, raising
+    RuntimeError (under `python -O` too), and becomes a BQForm only once
+    the int triples are sorted.  The degree is H(|D|) when gcd(D, N) = 1.
     """
     n, disc, r = idx.level, idx.disc, idx.r
     basis = _crt_basis(n)
-    classes: list[tuple[BQForm, Fraction]] = []
-    total_sixths = 0
-    for base in reduced_forms(-disc):
-        sixths = _weight_sixths(base)
-        labels = _admissible_labels(base, n, r, basis)
+    found = []
+    for a, b, c in _reduced_triples(-disc):
+        sixths = _weight_sixths(a, b, c)
+        # the kernel mod N of the rows (a, h) and (k, c): one point (-h, a) or (-c, k) per prime
+        # power, glued by the CRT basis, unless p divides all four entries (so p | gcd(D, N))
+        h, k = (b + r) // 2, (b - r) // 2
+        x = y = 0
+        wide = ()
+        for p, q, idem in basis:
+            if a % p or h % p:
+                x, y = x - h * idem, y + a * idem
+            elif k % p or c % p:
+                x, y = x - c * idem, y + k * idem
+            else:
+                # then the p^e + p^(e-1) points of P^1(Z/p^e) are searched
+                line = [(1, v) for v in range(q)] + [(p * u, 1) for u in range(q // p)]
+                wide += ([(u * idem, v * idem) for u, v in line if (a * u + h * v) % q == (k * u + c * v) % q == 0],)
+        points = [(x, y)]
+        for local in wide:
+            points = [(x0 + u, y0 + v) for x0, y0 in points for u, v in local]
         if sixths in _AUTS:
-            # the labels are closed under the automorphs; each orbit is represented by its least label
-            (x, y), (z, w) = _AUTS[sixths]
-            least = set()
-            for p, s in labels:
-                orbit = set()
-                for _ in range(6):
-                    p, s = x * p + y * s, z * p + w * s
-                    orbit.add(_p1_canon(p, s, n))
-                least.add(min(orbit))
-            labels = least
+            # each orbit of the automorphs on the kernel is represented by its least label
+            labels = {min(_p1_canon(g11 * p + g12 * s, g21 * p + g22 * s, n) for g11, g12, g21, g22 in _AUTS[sixths])
+                      for p, s in points}
+        elif wide:
+            labels = {_p1_canon(p, s, n) for p, s in points}
+        else:
+            labels = (_p1_canon(x, y, n),)
         for p, s in labels:
-            # gcd(p, s) = 1 for a canonical label, and (0, 1) is lifted to (N, 1)
-            _, t, q_neg = _egcd(p or n, s)
-            form = base.transformed(((p or n, -q_neg), (s, t)))
-            assert form.a % n == 0 and (form.b - r) % (2 * n) == 0
-            classes.append((form, _WEIGHTS[sixths]))
-            total_sixths += sixths
-    classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
-    return HeegnerDivisor(
-        index=idx, classes=tuple(classes), degree=Fraction(total_sixths, 6), self_paired=idx.self_paired()
-    )
+            # M = ((p, -q), (s, t)) in SL2(Z): gcd(p, s) = 1 for a canonical label, (0, 1) lifted to (N, 1)
+            p = p or n
+            _, t, q = _egcd(p, s)
+            a2 = a * p * p + b * p * s + c * s * s
+            b2 = b * (p * t - q * s) + 2 * (c * s * t - a * p * q)
+            if a2 % n or (b2 - r) % (2 * n):
+                raise RuntimeError("%r: representative [%d, %d, .] breaks N | a, b = r mod 2N" % (idx, a2, b2))
+            found.append((a2, b2, a * q * q - b * q * t + c * t * t, sixths))
+    classes = []
+    for a, b, c, w in sorted(found):
+        # BQForm(a, b, c) without the frame of its __init__, as DivisorClass._from_valid builds
+        form = BQForm.__new__(BQForm)
+        form.__dict__.update(a=a, b=b, c=c)
+        classes.append((form, _WEIGHTS[w]))
+    degree = Fraction(sum(w for *_, w in found), 6)
+    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())
 
 
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:

@@ -8,7 +8,9 @@ modular-curve data by direct coset/orbit
 enumeration, elliptic-point counts by polynomial root counting, primality
 by trial division (or sympy above 10**12), canonical points of P^1(Z/N)
 by minima over units, Heegner divisors by transforming
-every reduced form by all psi(N) coset representatives, the newform
+every reduced form by all psi(N) coset representatives, the reduced-form
+walk, extended gcd and per-form local-kernel labels that the Heegner
+enumeration used before it moved to plain integers, the newform
 witness by scanning every divisor of n, the pullback of a generator by
 visiting every candidate splitting, and the round-trip residual through a
 validated `DivisorClass`.
@@ -440,7 +442,6 @@ def coset_reps_by_sweep(level: int):
     N/g, so one sweep of q per divisor marks every orbit.
     """
     from cyclecert.arith import divisors, factor
-    from cyclecert.heegner import _egcd
 
     n = level
     if n == 1:
@@ -459,7 +460,7 @@ def coset_reps_by_sweep(level: int):
     reps = []
     for p, q in labels:
         pp = p or n  # gcd(p, q) = 1, and (0, 1) is lifted to (N, 1)
-        _, y, x_neg = _egcd(pp, q)
+        _, y, x_neg = egcd_recursive(pp, q)
         assert pp * y + x_neg * q == 1
         reps.append(((p, q), ((pp, -x_neg), (q, y))))
     return tuple(reps)
@@ -499,12 +500,12 @@ def heegner_divisor_by_coset_scan(idx):
     The automorph group of a reduced form glues cosets that give equivalent
     forms; each class is represented by the form from its least label.
     """
-    from cyclecert.heegner import HeegnerDivisor, _p1_canon, reduced_forms
+    from cyclecert.heegner import HeegnerDivisor, _p1_canon
 
     n, disc, r = idx.level, idx.disc, idx.r
     reps = coset_reps_by_sweep(n)
     classes = []
-    for base in reduced_forms(-disc):
+    for base in reduced_forms_by_walk(-disc):
         a, b, c = base.a, base.b, base.c
         if b == 0 and a == c:
             aut = _AUT_FOUR
@@ -532,6 +533,110 @@ def heegner_divisor_by_coset_scan(idx):
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
     degree = sum((w for (_, w) in classes), Fraction(0))
     return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())
+
+
+def reduced_forms_by_walk(n: int):
+    """All reduced positive definite forms of discriminant -n, one `while` step per candidate a.
+
+    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
+    Imprimitive forms are included.  Empty unless n = 0 or 3 mod 4.
+    """
+    from cyclecert.heegner import BQForm
+
+    if n <= 0:
+        raise ValueError("n must be positive")
+    out = []
+    if n % 4 in (1, 2):
+        return ()
+    for b in range(n % 2, isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                out.append(BQForm(a, b, c))
+                if 0 < b < a < c:
+                    out.append(BQForm(a, -b, c))
+            a += 1
+    return tuple(sorted(out, key=lambda f: (f.a, f.b, f.c)))
+
+
+def egcd_recursive(a: int, b: int) -> tuple[int, int, int]:
+    if b == 0:
+        return (a, 1, 0)
+    g, x, y = egcd_recursive(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def _local_kernel(rows, p: int, q: int):
+    # points of P^1(Z/q), q = p^e, on which both rows vanish, given a determinant of 0 mod q
+    for alpha, beta in rows:
+        if alpha % p or beta % p:
+            return [(-beta, alpha)]
+    points = [(1, y) for y in range(q)] + [(p * x, 1) for x in range(q // p)]
+    return [(x, y) for x, y in points if all((al * x + be * y) % q == 0 for al, be in rows)]
+
+
+def admissible_labels_by_local_kernels(form, n: int, r: int, basis) -> set:
+    """Canonical labels of the kernel mod N, the per-prime kernels glued by the CRT basis of N."""
+    from cyclecert.heegner import _p1_canon
+
+    a, b, c = form.a, form.b, form.c
+    rows = ((a, (b + r) // 2), ((b - r) // 2, c))
+    points = [(0, 0)]
+    for p, q, idem in basis:
+        points = [(x0 + x * idem, y0 + y * idem) for x0, y0 in points for x, y in _local_kernel(rows, p, q)]
+    return {_p1_canon(x, y, n) for x, y in points}
+
+
+def _weight_sixths_of_form(form) -> int:
+    if form.b == 0 and form.a == form.c:
+        return 3
+    if form.a == form.b == form.c:
+        return 2
+    return 6
+
+
+def heegner_divisor_by_local_kernels(idx):
+    """Heegner divisor at `idx` through BQForm objects: the walk, per-form label sets and `transformed`.
+
+    Each reduced form's labels are closed under its automorphs, and each
+    orbit is represented by its least label, lifted to an SL2(Z) matrix by
+    the recursive extended gcd.
+    """
+    from cyclecert.heegner import HeegnerDivisor, _crt_basis, _p1_canon
+
+    n, disc, r = idx.level, idx.disc, idx.r
+    basis = _crt_basis(n)
+    classes = []
+    total_sixths = 0
+    for base in reduced_forms_by_walk(-disc):
+        sixths = _weight_sixths_of_form(base)
+        labels = admissible_labels_by_local_kernels(base, n, r, basis)
+        if sixths in _AUTS_BY_SIXTHS:
+            (x, y), (z, w) = _AUTS_BY_SIXTHS[sixths]
+            least = set()
+            for p, s in labels:
+                orbit = set()
+                for _ in range(6):
+                    p, s = x * p + y * s, z * p + w * s
+                    orbit.add(_p1_canon(p, s, n))
+                least.add(min(orbit))
+            labels = least
+        for p, s in labels:
+            _, t, q_neg = egcd_recursive(p or n, s)
+            form = base.transformed(((p or n, -q_neg), (s, t)))
+            assert form.a % n == 0 and (form.b - r) % (2 * n) == 0
+            classes.append((form, _WEIGHT_OF_SIXTHS[sixths]))
+            total_sixths += sixths
+    classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
+    return HeegnerDivisor(
+        index=idx, classes=tuple(classes), degree=Fraction(total_sixths, 6), self_paired=idx.self_paired()
+    )
+
+
+_AUTS_BY_SIXTHS = {3: _AUT_FOUR, 2: _AUT_SIX}
+_WEIGHT_OF_SIXTHS = {6: Fraction(1), 3: Fraction(1, 2), 2: Fraction(1, 3)}
 
 
 def witness_by_divisor_scan(n: int, mode: str = "offline", client=None, divisors=None):

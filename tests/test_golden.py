@@ -38,11 +38,22 @@ def _pullback_cases():
                     yield {"N": n, "m0": Fraction(scaled, four_n), "r": r1}
 
 
+def _heegner_cases():
+    # every r for N <= 300 at six discriminants (weight-1/3 and weight-1/2
+    # classes, and D sharing a prime with N), then two large levels
+    for n in range(1, 301):
+        for d in (-3, -4, -7, -23, -84, -311):
+            yield {"N": n, "D": d, "r": None}
+    yield {"N": 9998, "D": -7, "r": None}
+    yield {"N": 30030, "D": -1559, "r": 599}
+
+
 # group -> (argv parsed once, the attribute values of each invocation)
 GROUPS = {
     "genus_x0": (["genus", "1", "--curve", "x0"], lambda: ({"N": n} for n in range(1, 3001))),
     "genus_xn": (["genus", "1", "--curve", "xn"], lambda: ({"N": n} for n in range(1, 3001))),
     "genus_x0star": (["genus", "2", "--curve", "x0star"], lambda: ({"N": p} for p in _primes(2000))),
+    "heegner": (["heegner", "1", "-3"], _heegner_cases),
     "pullback": (["pullback", "1", "--m0", "1/4", "--r", "1"], _pullback_cases),
     "certify": (["certify", "1"], lambda: ({"N": n} for n in range(1, 301))),
 }

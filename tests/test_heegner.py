@@ -6,10 +6,11 @@ from math import gcd
 
 import pytest
 
+from cyclecert import heegner
+from cyclecert.arith import is_prime
 from cyclecert.heegner import (
     BQForm,
-    _admissible_labels,
-    _crt_basis,
+    _egcd,
     _p1_canon,
     CongruenceError,
     HeegnerIndex,
@@ -23,11 +24,14 @@ from cyclecert.heegner import (
 )
 from oracles import (
     coset_reps_by_sweep,
+    egcd_recursive,
     heegner_divisor_by_coset_scan,
+    heegner_divisor_by_local_kernels,
     labels_by_coset_scan,
     p1_canon_by_unit_lifts,
     p1_canon_by_units,
     psi_by_trial_division,
+    reduced_forms_by_walk,
 )
 
 
@@ -58,6 +62,53 @@ def test_hurwitz_rejects_nonpositive():
         hurwitz_class_number(0)
     with pytest.raises(ValueError):
         hurwitz_class_number(-3)
+
+
+def test_reduced_forms_match_the_while_walk():
+    # every n <= 6000, then 12 seeded n in [10^5, 10^6) of the shapes 4*9*p
+    # and 3*49*p, p prime, with -n a discriminant
+    for n in range(1, 6001):
+        assert reduced_forms(n) == reduced_forms_by_walk(n)
+    rng = random.Random(6000)
+    for square, lo, hi in ((36, 2778, 27778), (147, 681, 6803)):
+        shapes = [square * p for p in range(lo, hi) if is_prime(p) and square * p % 4 in (0, 3)]
+        for n in rng.sample(shapes, 6):
+            assert 10**5 <= n < 10**6
+            assert reduced_forms(n) == reduced_forms_by_walk(n)
+
+
+def test_egcd_matches_the_recursive_form():
+    # the Bezout pair, not only the gcd, fixes the representatives; signed
+    # 21-bit pairs, one in 25 with a zero, equal, opposite or unit argument
+    rng = random.Random(10**5)
+    for i in range(10**5):
+        a, b = rng.randrange(-2**20, 2**20), rng.randrange(-2**20, 2**20)
+        if i % 25 == 0:
+            b = (0, a, -a, 1)[i // 25 % 4]
+            a, b = (a, b) if i // 100 % 2 else (b, a)
+        assert _egcd(a, b) == egcd_recursive(a, b)
+
+
+def test_enumeration_matches_the_local_kernel_reference():
+    # every index with N <= 40 and -300 < D < 0, gcd(D, N) > 1 included, against
+    # the BQForm pipeline of per-form label sets and the recursive extended gcd
+    checked = 0
+    for level in range(1, 41):
+        for disc in range(-3, -300, -1):
+            if disc % 4 in (0, 1):
+                for r in heegner_r_values(level, disc):
+                    idx = HeegnerIndex(level, disc, r)
+                    assert enumerate_heegner_divisor(idx) == heegner_divisor_by_local_kernels(idx)
+                    checked += 1
+    assert checked == 5809
+
+
+def test_a_broken_representative_raises_even_under_python_O(monkeypatch):
+    # a completion with determinant 0 keeps N | a' but sends b' to 0, not r;
+    # the check is a raise, not an assert, so `python -O` keeps it
+    monkeypatch.setattr(heegner, "_egcd", lambda a, b: (1, 0, 0))
+    with pytest.raises(RuntimeError, match="breaks N"):
+        enumerate_heegner_divisor(HeegnerIndex(2, -23, 1))
 
 
 def test_reduced_form_conventions():
@@ -303,14 +354,18 @@ def test_classes_match_coset_scan_oracle_at_level_9998():
 
 def test_labels_match_coset_scan_oracle_at_level_30030():
     # the full scan holds about 30 MB of coset matrices and takes over a
-    # second, so two seeded reduced forms are scanned and the degree is
-    # checked against H(1559) = 51
+    # second, so two seeded reduced forms are scanned: the shipped classes
+    # over each (found by reducing every representative) are exactly the
+    # scan's labels, transformed by its matrices; the degree is checked
+    # against H(1559) = 51
     reps = coset_reps_by_sweep.__wrapped__(30030)
-    basis = _crt_basis(30030)
-    forms = reduced_forms(1559)
-    for form in random.Random(30030).sample(forms, 2):
-        assert _admissible_labels(form, 30030, 599, basis) == set(labels_by_coset_scan(form, 30030, 599, reps))
     div = enumerate_heegner_divisor(HeegnerIndex(30030, -1559, 599))
+    for form in random.Random(30030).sample(reduced_forms(1559), 2):
+        selected = labels_by_coset_scan(form, 30030, 599, reps)
+        assert len(selected) == 1
+        expected = sorted((f.a, f.b, f.c) for f in map(form.transformed, selected.values()))
+        shipped = [(f.a, f.b, f.c) for f, _ in div.classes if _sl2_reduce(f.a, f.b, f.c) == (form.a, form.b, form.c)]
+        assert shipped == expected
     assert div.degree == hurwitz_class_number(1559) == 51
 
 

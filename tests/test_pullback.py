@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 import cyclecert.pullback as pullback_mod
-from cyclecert.heegner import CongruenceError, hurwitz_class_number
+from cyclecert.heegner import CongruenceError, eichler_relation_sides, hurwitz_class_number
 from cyclecert.lattices import DiscElement
 from cyclecert.modcurves import cover_degree_over_x0
 from cyclecert.pullback import (
@@ -378,3 +378,26 @@ def test_pullback_keys_are_validated_once_at_the_boundary(monkeypatch):
     # the decomposition's target, once
     assert apply_decomposition(dec).heeg_coeffs == {(Fraction(200), 0): 1}
     assert calls == [(1, Fraction(200), 0)]
+
+
+def test_level_one_pullbacks_give_the_hurwitz_kronecker_relation():
+    """At level 1 the pullbacks of Z*(m, mu), mu = (0, 0) and (1, 1), have total degree sum_(d | m) max(d, m/d).
+
+    The two mu are the elements of the level-1 discriminant group with
+    q(mu) = 0 mod 1.  Their pullbacks split m as m0 + s**2/4, even s at (0, 0)
+    and odd s at (1, 1), so between them every s with s**2 < 4m contributes
+    Heeg(m0, r1), m0 = (4m - s**2)/4, and the square 4m = s**2 contributes
+    -Omega (the convention Z(0, 0) = -Omega).  Give Heeg(m0, r1) its degree
+    H(4*m0) and Omega the degree 1/12 of the Hodge class on X(1), so that
+    -Omega stands for H(0) = -1/12.  Then the degree is
+    sum_(s**2 <= 4m) H(4m - s**2), which by the Hurwitz-Kronecker class
+    number relation equals sum_(d | m) max(d, m/d); the right side is
+    computed from the divisors of m alone.
+    """
+    for m in range(1, 301):
+        total = Fraction(0)
+        for r in (0, 1):
+            d = pullback_divisor(gen(1, m, r, r))
+            total += sum(c * hurwitz_class_number(int(4 * m0)) for (m0, _), c in d.heeg_coeffs.items())
+            total += d.omega_coeff / 12
+        assert total == eichler_relation_sides(m)[1]
