@@ -278,19 +278,24 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
     """Heegner index (D, r) = (-4N*m0, r1 mod 2N) of the special divisor at (m0, r1).
 
-    Requires m0 > 0 and the congruence m0 = -r1**2/4N mod 1, violated input
-    raising CongruenceError.  Every key that passes indexes a Heegner divisor:
-    the congruence says r1**2 = D mod 4N, so D = 0 or 1 mod 4, and D < 0.
+    Requires m0 > 0 and m0 = -r1**2/4N mod 1 (else CongruenceError), both
+    checked in integers on m0's numerator and denominator.  Every key that
+    passes indexes a Heegner divisor, built unchecked: the congruence says
+    r1**2 = D mod 4N, so D = 0 or 1 mod 4, and D < 0.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    m0 = Fraction(m0)
-    if m0 <= 0:
+    if type(m0) not in (int, Fraction):
+        m0 = Fraction(m0)
+    if m0.numerator <= 0:
         raise ValueError("m0 must be positive")
     r1 = r1 % (2 * level)
-    scaled = m0 * 4 * level
-    if scaled.denominator != 1 or (scaled.numerator + r1 * r1) % (4 * level) != 0:
+    four_n, den = 4 * level, m0.denominator
+    scaled = four_n // den * m0.numerator  # 4N*m0 when den | 4N
+    if four_n % den or (scaled + r1 * r1) % four_n:
         raise CongruenceError(
             "m0 = %s violates m0 = -r1**2/(4N) mod 1 for r1 = %d at level %d" % (m0, r1, level)
         )
-    return HeegnerIndex(level=level, disc=-scaled.numerator, r=r1)
+    idx = HeegnerIndex.__new__(HeegnerIndex)
+    idx.__dict__.update(level=level, disc=-scaled, r=r1)
+    return idx

@@ -351,6 +351,50 @@ def pullback_by_splitting(level: int, four_nm: int, r1: int, r2: int) -> tuple[d
     return heeg, omega
 
 
+def add_pullback_every_s(gen, coeff, heeg: dict) -> int:
+    """The pullback summation before it visited s and -s once, kept as a reference.
+
+    Adds into `heeg` on (4N*m0, r1) tuple keys and returns the Omega part,
+    walking every s = r2 mod 2N from -isqrt(4N*m) up; its first-seen key
+    order is the one the library keeps within each r1.
+    """
+    # verbatim from cyclecert.pullback._add_pullback, before it summed per r1
+    four_nm = gen._four_nm
+    if four_nm == 0:
+        return -2 * coeff if gen.mu.is_zero() else 0
+    r1, r2 = gen.mu.r1, gen.mu.r2
+    two_n = 2 * gen.level
+    smax = isqrt(four_nm)
+    omega = 0
+    for s in range(-smax + (r2 + smax) % two_n, smax + 1, two_n):
+        rest = four_nm - s * s
+        if rest:
+            key = (rest, r1)
+            heeg[key] = heeg.get(key, 0) + coeff
+        elif r1 == 0:
+            omega -= coeff
+    return omega
+
+
+def special_divisor_index_by_fractions(level: int, m0, r1: int):
+    """`special_divisor_index` on the `Fraction` route, kept as a reference for the integer check."""
+    from cyclecert.heegner import CongruenceError, HeegnerIndex
+
+    # verbatim from cyclecert.heegner.special_divisor_index, before it checked in integers
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+    m0 = Fraction(m0)
+    if m0 <= 0:
+        raise ValueError("m0 must be positive")
+    r1 = r1 % (2 * level)
+    scaled = m0 * 4 * level
+    if scaled.denominator != 1 or (scaled.numerator + r1 * r1) % (4 * level) != 0:
+        raise CongruenceError(
+            "m0 = %s violates m0 = -r1**2/(4N) mod 1 for r1 = %d at level %d" % (m0, r1, level)
+        )
+    return HeegnerIndex(level=level, disc=-scaled.numerator, r=r1)
+
+
 def round_trip_by_divisor_class(decomp):
     """Round-trip residual of a decomposition through a validated `DivisorClass`.
 
@@ -673,3 +717,91 @@ def witness_by_divisor_scan(n: int, mode: str = "offline", client=None, divisors
         if hits:
             return m, min(hits, key=lambda r: r.label)
     return None
+
+
+def _prime_factors_by_trial(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _kronecker_minus(k: int, p: int) -> int:
+    """(-k/p) for k in (3, 4) and a prime p; Euler's criterion where p is odd and prime to k."""
+    if p == 2:
+        return 0 if k == 4 else -1
+    if p == 3 and k == 3:
+        return 0
+    return 1 if pow(-k % p, (p - 1) // 2, p) == 1 else -1
+
+
+def x0_genus_by_formula(n: int) -> int:
+    """Genus of X_0(N) from the classical index, elliptic-point and cusp counts."""
+    primes = _prime_factors_by_trial(n)
+    index = n
+    for p in primes:
+        index = index // p * (p + 1)
+    nu2 = 0 if n % 4 == 0 else functools.reduce(lambda acc, p: acc * (1 + _kronecker_minus(4, p)), primes, 1)
+    nu3 = 0 if n % 9 == 0 else functools.reduce(lambda acc, p: acc * (1 + _kronecker_minus(3, p)), primes, 1)
+    cusps = sum(_phi_by_trial(gcd(d, n // d)) for d in range(1, n + 1) if n % d == 0)
+    twelve_g = 12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps
+    assert twelve_g % 12 == 0
+    return twelve_g // 12
+
+
+def _phi_by_trial(n: int) -> int:
+    out = n
+    for p in _prime_factors_by_trial(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def primitive_class_number_by_walk(n: int) -> int:
+    """h(-n): primitive reduced forms [a, b, c] of discriminant -n, counted one a at a time."""
+    count = 0
+    for b in range(n % 2, isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        for a in range(max(b, 1), isqrt(m) + 1):
+            if m % a == 0 and gcd(gcd(a, b), m // a) == 1:
+                count += 2 if 0 < b < a < m // a else 1
+    return count
+
+
+def fricke_quotient_genus_by_fixed_points(n: int) -> int:
+    """Genus of X_0(N)/w_N for N >= 5 by Ogg's count of the Fricke involution's fixed points.
+
+    The fixed points number nu = h(-4N) + h(-N) when N = 3 mod 4 and h(-4N)
+    otherwise, h counting primitive forms; Riemann-Hurwitz then gives
+    g(X_0(N)/w_N) = (2*g0 + 2 - nu)/4.  Ogg, "Hyperelliptic modular curves",
+    Bull. SMF 102 (1974).
+    """
+    if n < 5:
+        raise ValueError("Ogg's count needs N >= 5")
+    nu = primitive_class_number_by_walk(4 * n)
+    if n % 4 == 3:
+        nu += primitive_class_number_by_walk(n)
+    numerator = 2 * x0_genus_by_formula(n) + 2 - nu
+    assert numerator % 4 == 0 and numerator >= 0, n
+    return numerator // 4
+
+
+def fricke_prime_square_genus(p: int) -> int:
+    """Genus of X_0(p**2)/w for an odd prime p, in closed form.
+
+    Ogg's count at N = p**2 = 1 mod 4 is nu = h(-4p**2), and the class number
+    formula for orders (Cox, Primes of the Form x**2 + ny**2, section 7) gives
+    h(-4p**2) = (p - (-4/p))/2.  X_0(p**2) has index p(p + 1), p + 1 cusps,
+    1 + (-4/p) elliptic points of order 2, and 1 + (-3/p) of order 3 (none
+    at p = 3, where 9 divides the level).
+    """
+    chi4 = _kronecker_minus(4, p)
+    nu3 = 0 if p == 3 else 1 + _kronecker_minus(3, p)
+    twelve_g0 = 12 + p * (p + 1) - 3 * (1 + chi4) - 4 * nu3 - 6 * (p + 1)
+    assert twelve_g0 % 12 == 0
+    numerator = 2 * (twelve_g0 // 12) + 2 - (p - chi4) // 2
+    assert numerator % 4 == 0 and numerator >= 0, p
+    return numerator // 4

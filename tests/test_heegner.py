@@ -251,6 +251,8 @@ def test_special_divisor_index_never_fails_once_the_congruence_holds():
             for scaled in range((-r1 * r1) % four_n or four_n, 300, four_n):
                 idx = special_divisor_index(level, Fraction(scaled, four_n), r1)
                 assert (idx.level, idx.disc, idx.r) == (level, -scaled, r1 % (2 * level))
+                # the index is built unchecked; the checked constructor accepts it
+                assert idx == HeegnerIndex(level=level, disc=-scaled, r=r1)
                 keys += 1
     assert keys == 17427
 

@@ -1,5 +1,6 @@
 import random
 import time
+from math import isqrt
 
 import pytest
 
@@ -19,7 +20,10 @@ from oracles import (
     cover_image,
     cover_index_by_crt,
     cover_profile_by_enumeration,
+    fricke_prime_square_genus,
+    fricke_quotient_genus_by_fixed_points,
     x0_data_by_enumeration,
+    x0_genus_by_formula,
 )
 
 GENUS_ONE_PRIMES = (37, 43, 53, 61, 79, 83, 89, 101, 131)
@@ -144,6 +148,44 @@ def test_fricke_riemann_hurwitz_consistency():
         g0 = x0_profile(p).genus
         gs = fricke_quotient_genus(p)
         assert 2 * g0 - 2 == 2 * (2 * gs - 2) + nu
+
+
+def test_ogg_fixed_point_count_matches_fricke_quotient_genus_at_primes():
+    # the general count, with its own X_0(N) genus and class numbers, agrees
+    # with the library's prime-level route, and gives the classical genera
+    # of X_0(N)/w_N at composite levels
+    for p in filter(is_prime, range(5, 2001)):
+        assert fricke_quotient_genus_by_fixed_points(p) == fricke_quotient_genus(p), p
+    for genus, levels in ((0, (26, 35, 39, 50)), (1, (22, 28, 30, 33)), (2, (42, 46))):
+        assert [fricke_quotient_genus_by_fixed_points(n) for n in levels] == [genus] * len(levels)
+    assert all(x0_genus_by_formula(n) == x0_profile(n).genus for n in range(1, 200))
+
+
+def test_prime_square_class_number_closed_form():
+    # h(-4p**2) = (p - (-4/p))/2, the class number of the order of conductor p in Z[i]
+    from cyclecert.heegner import class_number
+
+    for p in filter(is_prime, range(3, 200)):
+        assert class_number(4 * p * p) == (p - (1 if p % 4 == 1 else -1)) // 2, p
+
+
+def test_a2_floor_is_eleven():
+    """The A2 clause's floor: X_0(p**2)/w has genus at least 2 exactly for the primes 11 <= p < 10**5."""
+    from cyclecert.certify import CLAUSE_A2, certify
+
+    sieve = bytearray([1]) * 10**5
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(10**5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, 10**5, i)))
+    odd_primes = [p for p in range(3, 10**5) if sieve[p]]
+    # X_0(4) has genus 0, so its quotient does too; odd p by the closed form
+    assert [p for p in odd_primes if fricke_prime_square_genus(p) >= 2] == [p for p in odd_primes if p >= 11]
+    for p in odd_primes[:6]:
+        assert fricke_prime_square_genus(p) == fricke_quotient_genus_by_fixed_points(p * p)
+    for p in (2, 3, 5, 7, 11, 13):
+        fired = {w["clause"] for w in certify(p * p).witnesses}
+        assert (CLAUSE_A2 in fired) == (p >= 11), p
 
 
 def test_fricke_rejects_composites():

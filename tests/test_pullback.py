@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import isqrt
@@ -5,7 +6,7 @@ from math import isqrt
 import pytest
 
 import cyclecert.pullback as pullback_mod
-from cyclecert.heegner import CongruenceError, eichler_relation_sides, hurwitz_class_number
+from cyclecert.heegner import CongruenceError, eichler_relation_sides, hurwitz_class_number, special_divisor_index
 from cyclecert.lattices import DiscElement
 from cyclecert.modcurves import cover_degree_over_x0
 from cyclecert.pullback import (
@@ -18,7 +19,14 @@ from cyclecert.pullback import (
     pullback_divisor,
     verify_decomposition,
 )
-from oracles import inverse_theta_coeffs, pullback_by_splitting, q_mod1, round_trip_by_divisor_class
+from oracles import (
+    add_pullback_every_s,
+    inverse_theta_coeffs,
+    pullback_by_splitting,
+    q_mod1,
+    round_trip_by_divisor_class,
+    special_divisor_index_by_fractions,
+)
 
 
 def gen(level, m, r1, r2=0):
@@ -215,6 +223,13 @@ def test_long_ladder_round_trip():
     assert time.monotonic() - start < 2.0
 
 
+def test_chow_heegner_divisor_rejects_a_decomposition_at_another_level():
+    dec = decompose_heegner(1, 1, 0)
+    with pytest.raises(ValueError, match="differs from the decomposition's level 1"):
+        chow_heegner_divisor(2, dec)
+    assert chow_heegner_divisor(1, dec).cusp_coeff == -12 * hurwitz_class_number(4)
+
+
 def test_divisor_class_drops_zero_coefficients():
     d = DivisorClass(level=1, heeg_coeffs={(Fraction(1), 0): Fraction(0)})
     assert d.heeg_coeffs == {}
@@ -401,3 +416,101 @@ def test_level_one_pullbacks_give_the_hurwitz_kronecker_relation():
             total += sum(c * hurwitz_class_number(int(4 * m0)) for (m0, _), c in d.heeg_coeffs.items())
             total += d.omega_coeff / 12
         assert total == eichler_relation_sides(m)[1]
+
+
+def _every_s_class(gen):
+    """Heegner part and Omega part of pullback_divisor(gen) by the every-s reference."""
+    heeg = {}
+    omega = add_pullback_every_s(gen, 1, heeg)
+    four_n = 4 * gen.level
+    return {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}, omega
+
+
+def test_pullback_visits_each_splitting_once_like_the_every_s_reference():
+    # every generator with N <= 12 and 4N*m < 160: values, first-seen key order and Omega part
+    seen = {"r2 not 0 or N": 0, "s = 0": 0, "s**2 = 4N*m": 0}
+    for level in range(1, 13):
+        four_n, two_n = 4 * level, 2 * level
+        for r1 in range(two_n):
+            for r2 in range(two_n):
+                for four_nm in range((r2 * r2 - r1 * r1) % four_n, 160, four_n):
+                    gen = AmbientGenerator(Fraction(four_nm, four_n), DiscElement(level, r1, r2))
+                    got = pullback_divisor(gen)
+                    heeg, omega = _every_s_class(gen)
+                    assert list(got.heeg_coeffs.items()) == list(heeg.items()), (level, four_nm, r1, r2)
+                    assert got.omega_coeff == omega and type(got.omega_coeff) is Fraction
+                    seen["r2 not 0 or N"] += r2 not in (0, level) and four_nm > 0
+                    seen["s = 0"] += r2 == 0 and four_nm > 0
+                    root = isqrt(four_nm)
+                    seen["s**2 = 4N*m"] += four_nm > 0 and root * root == four_nm and (root - r2) % two_n == 0
+    assert all(seen.values()), seen
+
+
+def _random_decomposition(rng, level):
+    """A decomposition whose terms mix r1 and r2 values and carry int, Fraction and zero coefficients."""
+    four_n, two_n = 4 * level, 2 * level
+    r1 = rng.randrange(two_n)
+    target = (Fraction((-r1 * r1) % four_n + four_n * rng.randrange(1, 6), four_n), r1 + two_n * rng.randrange(-1, 2))
+    terms = list(decompose_heegner(level, *target).terms) if rng.random() < 0.5 else []
+    for _ in range(rng.randrange(1, 12)):
+        g1, g2 = rng.randrange(two_n), rng.randrange(two_n)
+        four_nm = (g2 * g2 - g1 * g1) % four_n + four_n * rng.randrange(4)
+        coeff = rng.choice([0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+        terms.append((AmbientGenerator(Fraction(four_nm, four_n), DiscElement(level, g1, g2)), coeff))
+    rng.shuffle(terms)
+    return PullbackDecomposition(level, target, tuple(terms))
+
+
+def _every_s_sum(decomp):
+    heeg, omega = {}, Fraction(0)
+    for gen, coeff in decomp.terms:
+        omega += add_pullback_every_s(gen, Fraction(coeff), heeg)
+    return heeg, omega
+
+
+def test_apply_and_verify_match_the_every_s_reference_on_mixed_decompositions():
+    rng = random.Random(22)
+    residuals = 0
+    for trial in range(300):
+        level = rng.randrange(1, 9)
+        four_n = 4 * level
+        dec = _random_decomposition(rng, level)
+        heeg, omega = _every_s_sum(dec)
+        want = {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}
+        got = apply_decomposition(dec)
+        assert got.heeg_coeffs == want and got.omega_coeff == omega, trial
+        assert got.cusp_ambiguous == any(g.m != 0 for g, _ in dec.terms)
+        # within each r1 the keys come in the reference's first-seen order
+        for r1 in range(2 * level):
+            assert [k for k in got.heeg_coeffs if k[1] == r1] == [k for k in want if k[1] == r1]
+        idx = special_divisor_index_by_fractions(level, *dec.target)
+        target = (-idx.disc, idx.r)
+        heeg[target] = heeg.get(target, 0) - 1
+        residual = verify_decomposition(dec)
+        assert residual == {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}, trial
+        assert all(type(m) is Fraction and type(c) is Fraction for (m, _), c in residual.items())
+        residuals += bool(residual)
+    assert residuals > 200
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_special_divisor_index_matches_the_fraction_route():
+    m0s = [0, -1, -3, 1, 2, 7, 12, True]
+    m0s += [Fraction(k, d) for d in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 36, 48) for k in range(-2, 49, 5)]
+    m0s += ["3/4", "-1/2", "0", "7", "23/12", "5/48", "0.75", 0.75]
+    checked = {"ok": 0, "CongruenceError": 0, "ValueError": 0}
+    for level in range(1, 13):
+        for r1 in range(-1, 2 * level + 2):
+            for m0 in m0s:
+                got = _outcome(special_divisor_index, level, m0, r1)
+                want = _outcome(special_divisor_index_by_fractions, level, m0, r1)
+                assert got == want and type(got) is type(want), (level, m0, r1)
+                checked["ok" if not isinstance(got, tuple) else got[0].__name__] += 1
+    assert _outcome(special_divisor_index, 0, 1, 0) == _outcome(special_divisor_index_by_fractions, 0, 1, 0)
+    assert all(count > 100 for count in checked.values()), checked
