@@ -3,7 +3,7 @@ diagonal pullback decomposition of special divisors, and machine-checkable
 nontriviality certificates for the Ceresa and modified-diagonal cycles."""
 
 from .arith import large_level_bound
-from .certify import Certificate, certify, explain
+from .certify import Certificate, certify
 from .heegner import (
     BQForm,
     CongruenceError,
@@ -29,8 +29,6 @@ from .modcurves import (
     cover_profile,
     fricke_quotient_genus,
     minus_newspace_dim,
-    psl2_order,
-    sl2_order,
     x0_profile,
 )
 from .newforms import (
@@ -82,17 +80,14 @@ __all__ = [
     "decompose_heegner",
     "eichler_relation_sides",
     "enumerate_heegner_divisor",
-    "explain",
     "fricke_quotient_genus",
     "full_matrix_lattice",
     "heegner_r_values",
     "hurwitz_class_number",
     "large_level_bound",
     "minus_newspace_dim",
-    "psl2_order",
     "pullback_divisor",
     "scalar_rep_count",
-    "sl2_order",
     "special_divisor_index",
     "trace_zero_lattice",
     "verify_decomposition",

@@ -28,6 +28,25 @@ _TRIAL_SQUARE = 73 * 73
 # (Sorenson and Webster, Math. Comp. 86 (2017)); below it they prove primality
 PSI13 = 3317044064679887385961981
 
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime
+# bases, so those k bases decide every n < psi_k; listed where psi_k grows.
+# Sources: Pomerance, Selfridge and Wagstaff, Math. Comp. 35 (1980) for
+# k <= 4; Jaeschke, Math. Comp. 61 (1993) for k <= 8; Jiang and Deng,
+# Math. Comp. 83 (2014) for psi_9 = psi_10 = psi_11; Sorenson and Webster,
+# Math. Comp. 86 (2017) for psi_12 and psi_13
+_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (PSI13, 13),
+)
+
 
 _LARGE_LEVEL_BOUND = 2**6 * 3**4 * 5**2 * 7**2 * prod(p for p in _TRIAL_PRIMES if p >= 11 and p not in LISTED_PRIMES)
 
@@ -38,10 +57,10 @@ def large_level_bound() -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the first 13 prime bases.
+    """Deterministic Miller-Rabin with the first k prime bases, k sized to n by `_PSI`.
 
-    Exact for n < PSI13; at or above it the bases prove nothing, so the call
-    raises ValueError rather than guess.
+    Exact for n < PSI13, which needs all 13 bases; at or above it the bases
+    prove nothing, so the call raises ValueError rather than guess.
     """
     if n >= PSI13:
         raise ValueError("primality of %d is not decidable by the 13 fixed bases" % n)
@@ -54,7 +73,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next(k for psi, k in _PSI if n < psi)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

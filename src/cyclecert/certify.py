@@ -203,22 +203,3 @@ def _justification(n, verdict, clause, fired, notes) -> str:
     parts.extend("%s." % note.rstrip(".") for note in notes)
     return " ".join(parts)
 
-
-def explain(cert: Certificate) -> str:
-    """Human-readable rendering of a certificate."""
-    lines = [
-        "certificate for level %d" % cert.level,
-        "verdict: %s" % cert.verdict,
-        "clause: %s" % cert.clause,
-    ]
-    for w in cert.witnesses:
-        detail = ", ".join("%s=%s" % (k, v) for k, v in sorted(w.items()) if k != "clause")
-        lines.append("witness [%s] %s" % (w["clause"], detail))
-    if cert.curve_profile is not None:
-        p = cert.curve_profile
-        lines.append(
-            "curve: index %d, %d cusps, genus %d, no elliptic points"
-            % (p.index, p.cusps, p.genus)
-        )
-    lines.append(cert.justification)
-    return "\n".join(lines)

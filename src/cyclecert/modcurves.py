@@ -26,21 +26,6 @@ def _phi_power(p: int, e: int) -> int:
     return p ** (e - 1) * (p - 1) if e else 1
 
 
-def sl2_order(m: int) -> int:
-    """|SL2(Z/m)| = m**3 * prod(1 - 1/p**2)."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    order = m**3
-    for p in arith._level_factors(m):
-        order = order // (p * p) * (p * p - 1)
-    return order
-
-
-def psl2_order(m: int) -> int:
-    # -I = I in SL2(Z/2), so no halving below level 3
-    return sl2_order(m) if m <= 2 else sl2_order(m) // 2
-
-
 def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
     # 12(g - 1) = index - 3*nu2 - 4*nu3 - 6*cusps
     genus, rem = divmod(12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps, 12)

@@ -128,9 +128,10 @@ def fixture_levels() -> frozenset[int]:
 
 @functools.lru_cache(maxsize=None)
 def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
-    # called for levels in fixture_levels() only, which bounds the cache
+    # called for levels in fixture_levels() only, which bounds the cache;
+    # kept in label order, so a scan's first hit is its least-labelled one
     data = (_fixture_dir() / ("level_%d.json" % level)).read_bytes()
-    return tuple(_fixture_records(data, level))
+    return tuple(sorted(_fixture_records(data, level), key=lambda r: r.label))
 
 
 class NewformClient:
@@ -346,28 +347,36 @@ def witness_minus_rank1(
     higher have vanishing central derivative and are not witnesses.  Offline
     mode walks the levels that have local data (cache and fixtures) and keeps
     those dividing n, so it needs no factorization of n; levels with no local
-    data answer "no records" anyway.  Online mode scans every divisor of n,
-    from a complete factorization.  Fetch failures and malformed data raise
-    WitnessIndeterminate, which is distinct from a definite None.
+    data answer "no records" anyway.  A client with neither a cache dir nor a
+    fixtures override reads the bundled snapshot's parsed records directly.
+    Online mode scans every divisor of n, from a complete factorization.
+    Fetch failures and malformed data raise WitnessIndeterminate, which is
+    distinct from a definite None.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     client = client or NewformClient()
-    if mode == "offline":
+    if mode == "offline" and not client.cache_dir and not client.fixtures_dir:
+        scan = sorted(m for m in fixture_levels() if n % m == 0)
+        read = _bundled_records
+    elif mode == "offline":
         scan = [m for m in sorted(client.available_offline_levels()) if n % m == 0]
+        read = client.fetch_newforms
     else:
         try:
             scan = arith.divisors(arith._level_factors(n))
         except arith.LevelBoundError as exc:
             raise WitnessIndeterminate("cannot enumerate divisors of %d" % n) from exc
+        read = functools.partial(client.fetch_newforms, mode=mode)
     for m in scan:
         try:
-            records = client.fetch_newforms(m, mode=mode)
+            records = read(m)
         except TransientFetchError as exc:
             raise WitnessIndeterminate("fetch failed at level %d: %s" % (m, exc)) from exc
         except PayloadError as exc:
             raise WitnessIndeterminate("malformed data at level %d: %s" % (m, exc)) from exc
-        hits = [r for r in records if r.fricke_sign == -1 and r.analytic_rank == 1]
-        if hits:
-            return m, min(hits, key=lambda r: r.label)
+        # every source returns its records in label order
+        hit = next((r for r in records if r.fricke_sign == -1 and r.analytic_rank == 1), None)
+        if hit is not None:
+            return m, hit
     return None

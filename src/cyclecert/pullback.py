@@ -370,6 +370,6 @@ def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorCl
         level,
         {(Fraction(-idx.disc, 4 * level), idx.r): Fraction(1)},
         Fraction(0),
-        -2 * cover_degree_over_x0(level) * hurwitz_class_number(-idx.disc),
+        hurwitz_class_number(-idx.disc) * (-2 * cover_degree_over_x0(level)),
         False,
     )

@@ -5,8 +5,11 @@ congruence diagonalization, determinants by cofactor expansion and
 discriminant groups by Smith normal form, the discriminant form and matrix
 representatives of discriminant-group elements from their residues,
 modular-curve data by direct coset/orbit
-enumeration, elliptic-point counts by polynomial root counting, primality
-by trial division (or sympy above 10**12), canonical points of P^1(Z/N)
+enumeration, SL2(Z/m) orders by the product formula over trial division,
+elliptic-point counts by polynomial root counting, primality
+by trial division (or sympy above 10**12) and by Miller-Rabin with all 13
+fixed bases as the kernel ran it before its bases were sized to the number,
+canonical points of P^1(Z/N)
 by minima over units, Heegner divisors by transforming
 every reduced form by all psi(N) coset representatives, the reduced-form
 walk, extended gcd and per-form local-kernel labels that the Heegner
@@ -166,18 +169,30 @@ def borel_image(n: int):
     return out
 
 
+def sl2_order_by_formula(m: int) -> int:
+    """|SL2(Z/m)| = m**3 * prod(1 - 1/p**2) over the primes p | m, found by trial division."""
+    order = m**3
+    for p in _prime_factors_by_trial(m):
+        order = order // (p * p) * (p * p - 1)
+    return order
+
+
+def psl2_order_by_formula(m: int) -> int:
+    # -I = I in SL2(Z/2), so no halving below level 3
+    order = sl2_order_by_formula(m)
+    return order if m <= 2 else order // 2
+
+
 def x0_data_by_enumeration(n: int):
     """(index, cusps, nu2, nu3) of X_0(N) by direct counting, no closed formulas."""
     if n == 1:
         return 1, 1, 1, 1
-    from cyclecert.modcurves import psl2_order
-
     img = borel_image(n)
     if n <= 2:
         pm = {g for g in img}
     else:
         pm = {_pm_canon(g, n) for g in img}
-    index = psl2_order(n) // len(pm)
+    index = psl2_order_by_formula(n) // len(pm)
 
     pairs = sorted(
         {_pm_canon((p, q), n) for p in range(n) for q in range(n) if gcd(gcd(p, q), n) == 1}
@@ -245,15 +260,13 @@ def cover_profile_by_enumeration(level: int):
     orbits of the image on plus-minus primitive vector pairs, and the absence
     of elliptic elements is certified by a trace scan.
     """
-    from cyclecert.modcurves import psl2_order
-
     m = 2 * level
     img = cover_image(m)
     if m <= 2:
         pm_size = len({g for g in img})
     else:
         pm_size = len({_pm_canon(g, m) for g in img})
-    index = psl2_order(m) // pm_size
+    index = psl2_order_by_formula(m) // pm_size
 
     pairs = sorted(
         {
@@ -279,7 +292,6 @@ def cover_profile_by_enumeration(level: int):
 
 def cover_index_by_crt(level: int) -> int:
     """SL2 index of the cover group's image at 2N as a product over prime powers."""
-    from cyclecert.modcurves import sl2_order
 
     def local_index(p: int, q: int) -> int:
         # image of the same congruence conditions mod p^e: c = 0, d = 1,
@@ -291,7 +303,7 @@ def cover_index_by_crt(level: int) -> int:
                     continue
                 if (a * 1 - b * 0) % q == 1 % q:
                     size += 1
-        return sl2_order(q) // size
+        return sl2_order_by_formula(q) // size
 
     m = 2 * level
     total = 1
@@ -418,6 +430,56 @@ def _is_prime_independently(p: int) -> bool:
     import pytest
 
     return pytest.importorskip("sympy").isprime(p)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI13 = 3317044064679887385961981
+
+
+def is_prime_by_13_bases(n: int) -> bool:
+    """Deterministic Miller-Rabin with the first 13 prime bases.
+
+    Exact for n < PSI13; at or above it the bases prove nothing, so the call
+    raises ValueError rather than guess.
+    """
+    if n >= PSI13:
+        raise ValueError("primality of %d is not decidable by the 13 fixed bases" % n)
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """True when odd n > 2 passes the strong (Miller-Rabin) test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def is_factorization(n: int, factors: dict[int, int]) -> bool:

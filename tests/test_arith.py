@@ -1,13 +1,14 @@
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from oracles import is_factorization
+from oracles import is_factorization, is_prime_by_13_bases, is_strong_probable_prime
 
+from cyclecert import arith
 from cyclecert.arith import PSI13, divisors, factor, is_prime, large_level_bound, phi
 from cyclecert.certify import CLAUSE_A1, VERDICT_PROVEN, certify
-from cyclecert.modcurves import LevelBoundError, sl2_order, x0_profile
+from cyclecert.modcurves import LevelBoundError, cover_degree_over_x0, x0_profile
 from cyclecert.newforms import witness_minus_rank1
 
 BOUND = large_level_bound()
@@ -73,6 +74,47 @@ def test_never_names_a_composite_as_prime():
     assert factor(4 * PSI13) == ({2: 2}, PSI13)
 
 
+def test_is_prime_agrees_with_all_13_bases_below_200000():
+    assert list(filter(is_prime, range(200000))) == list(filter(is_prime_by_13_bases, range(200000)))
+
+
+def test_is_prime_agrees_with_all_13_bases_in_every_band():
+    # band [psi_(k-1), psi_k) is decided by the first k bases; sample numbers
+    # prime to every base, so that Miller-Rabin runs, and primes, where it
+    # runs every base it is given
+    rng = random.Random(2023)
+    bases = prod(arith._MR_BASES)
+    lo = 2
+    for psi, _ in arith._PSI:
+        samples = []
+        while len(samples) < 20:
+            n = rng.randrange(lo, psi)
+            if gcd(n, bases) == 1:
+                samples.append(n)
+        for _ in range(3):
+            n = rng.randrange(lo, psi) | 1
+            while not is_prime_by_13_bases(n):
+                n += 2
+            samples.append(n)
+        samples += [lo, psi - 1]
+        for n in samples:
+            assert is_prime(n) == is_prime_by_13_bases(n), n
+        lo = psi
+
+
+def test_each_psi_is_a_composite_strong_pseudoprime_to_its_bases():
+    table = arith._PSI
+    assert [psi for psi, _ in table] == sorted(psi for psi, _ in table) and table[-1] == (PSI13, 13)
+    assert [k for _, k in table] == sorted(k for _, k in table)
+    for psi, k in table:
+        assert all(is_strong_probable_prime(psi, a) for a in arith._MR_BASES[:k]), psi
+        if psi < PSI13:
+            # a Miller-Rabin witness proves psi composite; psi opens the next
+            # band, whose bases must find one
+            assert not is_prime_by_13_bases(psi) and not is_prime(psi), psi
+    assert PSI13 == 1287836182261 * 2575672364521
+
+
 def test_factor_rejects_nonpositive():
     for n in (0, -5):
         with pytest.raises(ValueError):
@@ -103,7 +145,7 @@ def test_witness_scan_factors_beyond_trial_division():
 
 def test_profiles_fail_fast_above_bound():
     n = 999999999989 * 1000000000039
-    for fn in (x0_profile, sl2_order):
+    for fn in (x0_profile, cover_degree_over_x0):
         start = time.perf_counter()
         with pytest.raises(LevelBoundError):
             fn(n)

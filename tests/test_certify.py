@@ -15,7 +15,6 @@ from cyclecert.certify import (
     VERDICT_PROVEN,
     VERDICT_UNKNOWN,
     certify,
-    explain,
     large_level_bound,
 )
 from cyclecert.arith import factor
@@ -116,7 +115,7 @@ def test_no_certificate_claims_triviality():
     for n in (1, 6, 35, PINNED_BOUND):
         cert = certify(n)
         assert cert.verdict in (VERDICT_PROVEN, VERDICT_UNKNOWN)
-        assert "trivial" not in explain(cert).replace("nontrivial", "").replace(
+        assert "trivial" not in cert.justification.replace("nontrivial", "").replace(
             "no triviality is asserted", ""
         )
 
@@ -143,16 +142,6 @@ def test_curve_profile_included_when_feasible():
         big = certify(n)
         assert big.curve_profile is None
         assert "curve profile omitted: level beyond the enumeration guard" in big.justification
-
-
-def test_explain_mentions_clause_and_witnesses():
-    text = explain(certify(74))
-    assert "A1_prime" in text
-    assert "prime=37" in text
-    text = explain(certify(128))
-    assert "analytic_witness" in text and "128.2.a.a" in text
-    text = explain(certify(1))
-    assert "sufficient" in text
 
 
 def test_rejects_nonpositive_level():

@@ -243,17 +243,14 @@ def test_public_surface_is_pinned():
         "decompose_heegner",
         "eichler_relation_sides",
         "enumerate_heegner_divisor",
-        "explain",
         "fricke_quotient_genus",
         "full_matrix_lattice",
         "heegner_r_values",
         "hurwitz_class_number",
         "large_level_bound",
         "minus_newspace_dim",
-        "psl2_order",
         "pullback_divisor",
         "scalar_rep_count",
-        "sl2_order",
         "special_divisor_index",
         "trace_zero_lattice",
         "verify_decomposition",

@@ -8,12 +8,14 @@ import sys
 import threading
 import urllib.error
 import urllib.request
+from math import prod
 
 import pytest
 from oracles import witness_by_divisor_scan
 
 import cyclecert
 import cyclecert.newforms as newforms_mod
+from cyclecert import arith
 from cyclecert.certify import certify
 from cyclecert.newforms import (
     NewformClient,
@@ -357,11 +359,6 @@ def _cache_client(tmp_path, monkeypatch):
 SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def test_offline_scan_matches_divisor_scan_oracle_up_to_3000():
-    for n in range(1, 3001):
-        assert witness_minus_rank1(n) == witness_by_divisor_scan(n), n
-
-
 def test_offline_scan_matches_divisor_scan_oracle_on_smooth_levels():
     rng = random.Random(20240707)
     for _ in range(300):
@@ -374,6 +371,59 @@ def test_offline_scan_matches_divisor_scan_oracle_on_smooth_levels():
             if rng.random() < 0.05:
                 break
         assert witness_minus_rank1(n) == witness_by_divisor_scan(n), n
+
+
+def _snapshot_copy(directory):
+    for entry in newforms_mod._fixture_dir().iterdir():
+        (directory / entry.name).write_bytes(entry.read_bytes())
+    return directory
+
+
+def test_bundled_scan_matches_the_oracle_and_a_fixtures_copy(tmp_path):
+    copy_client = NewformClient(fixtures_dir=str(_snapshot_copy(tmp_path)))
+    bound = arith.factor(arith.large_level_bound())[0]
+    rng = random.Random(20241018)
+    for n in range(1, 5001):
+        found = witness_minus_rank1(n)
+        assert found == witness_by_divisor_scan(n) == witness_minus_rank1(n, client=copy_client), n
+    # these have up to 645120 divisors; those above the largest snapshot
+    # level carry no data, so the oracle is handed the others, by trial
+    top = max(fixture_levels())
+    for _ in range(200):
+        n = prod(p ** rng.randrange(e + 1) for p, e in bound.items())
+        small = [d for d in range(1, top + 1) if n % d == 0]
+        found = witness_minus_rank1(n)
+        assert found == witness_by_divisor_scan(n, divisors=small) == witness_minus_rank1(n, client=copy_client), n
+
+
+def test_bundled_scan_reads_parsed_records_in_label_order(monkeypatch):
+    for m in fixture_levels():
+        labels = [r.label for r in newforms_mod._bundled_records(m)]
+        assert labels == sorted(labels), m
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("the bundled scan went through the client")
+
+    for name in ("fetch_newforms", "available_offline_levels", "_lock_for"):
+        monkeypatch.setattr(NewformClient, name, refuse)
+    assert witness_minus_rank1(74)[0] == 37
+    assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
+
+
+def test_malformed_bundled_level_makes_the_witness_indeterminate(tmp_path, monkeypatch):
+    snapshot = _snapshot_copy(tmp_path)
+    (snapshot / "level_37.json").write_text("{not json", encoding="utf-8")
+    copy_client = NewformClient(fixtures_dir=str(snapshot))
+    monkeypatch.setattr(newforms_mod, "_fixture_dir", lambda: snapshot)
+    newforms_mod._bundled_records.cache_clear()
+    try:
+        for client in (None, copy_client):
+            with pytest.raises(WitnessIndeterminate, match="malformed data at level 37: "):
+                witness_minus_rank1(74, client=client)
+            assert witness_minus_rank1(128, client=client)[0] == 128
+    finally:
+        # parsed under the replaced directory: parse again from the package
+        newforms_mod._bundled_records.cache_clear()
 
 
 def test_offline_scan_visits_cache_levels_outside_the_snapshot(tmp_path, monkeypatch):
