@@ -10,7 +10,7 @@ triviality; the criteria are sufficient, not necessary.
 from __future__ import annotations
 
 from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, _Record, factor, large_level_bound
-from .modcurves import CurveProfile, cover_profile
+from .modcurves import CurveProfile, _cover_profile
 from .newforms import (
     NewformClient,
     WitnessIndeterminate,
@@ -69,10 +69,12 @@ def certify(
     covers both the modified diagonal cycle in the triple product and the
     Ceresa cycle in the Jacobian, for every choice of basepoint.
 
-    The curve profile is attached for n <= 60 only; above that the
-    justification notes it as omitted.  An unavailable or failing newform
-    source degrades the analytic clause to "not evaluated"; it never fails
-    the call.
+    The curve profile is attached for n <= 60 only, computed from the
+    factorization already taken; above that the justification notes it as
+    omitted.  With no newform source, offline mode builds no client and reads
+    only CACHE_DIR (see `witness_minus_rank1`), so no other setting can fail
+    the call.  An unavailable or failing newform source degrades the analytic
+    clause to "not evaluated"; it never fails the call.
     """
     if n < 1:
         raise ValueError("level must be a positive integer")
@@ -106,11 +108,10 @@ def certify(
         fired.append((CLAUSE_B, {"clause": CLAUSE_B, "bound": str(bound)}))
 
     # analytic: odd-sign rank-one newform at a divisor level
-    client = newform_source or NewformClient()
     try:
         if cofactor > 1:
             raise WitnessIndeterminate("divisor scan limited by incomplete factorization")
-        hit = witness_minus_rank1(n, mode=mode, client=client)
+        hit = witness_minus_rank1(n, mode=mode, client=newform_source)
         if hit is not None:
             level, record = hit
             fired.append(
@@ -134,7 +135,7 @@ def certify(
 
     profile: CurveProfile | None = None
     if n <= _PROFILE_MAX_LEVEL:
-        profile = cover_profile(n)
+        profile = _cover_profile(n, known)
     else:
         notes.append("curve profile omitted: level beyond the enumeration guard")
 

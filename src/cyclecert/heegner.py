@@ -114,27 +114,44 @@ def eichler_relation_sides(n: int) -> tuple[Fraction, int]:
     """Both sides of the Hurwitz-Kronecker relation at n.
 
     Left: sum of H(4n - r**2) over r**2 <= 4n, with the boundary term
-    H(0) = -1/12 when 4n is a square.  Right: sum over d | n of max(d, n/d).
-    The two agree for every n >= 1.
+    H(0) = -1/12 when 4n is a square, summed in integer twelfths (12*H(m)
+    is an integer).  Right: sum over d | n of max(d, n/d).  The two agree
+    for every n >= 1.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    lhs = Fraction(0)
+    twelfths = 0
     for r in range(isqrt(4 * n) + 1):
         m = 4 * n - r * r
-        term = Fraction(-1, 12) if m == 0 else hurwitz_class_number(m)
-        lhs += term if r == 0 else 2 * term
-    rhs = sum(max(d, n // d) for d in range(1, n + 1) if n % d == 0)
-    return lhs, rhs
+        h = hurwitz_class_number(m) if m else Fraction(-1, 12)
+        term = h.numerator * (12 // h.denominator)
+        twelfths += term if r == 0 else 2 * term
+    # d and n/d both contribute n/d when d < sqrt(n)
+    rhs = sum(n // d * (1 if d * d == n else 2) for d in range(1, isqrt(n) + 1) if n % d == 0)
+    return Fraction(twelfths, 12), rhs
 
 
 def heegner_r_values(level: int, disc: int) -> list[int]:
-    """All r in {0, ..., 2N-1} with r**2 = disc mod 4N; empty when none exist."""
+    """All r in {0, ..., 2N-1} with r**2 = disc mod 4N, in increasing order; empty when none exist.
+
+    The roots are taken on each prime power of N (on 2^(e+1) for r, checked
+    mod 2^(e+2), at p = 2) and glued by CRT.  Each prime power is scanned, so
+    the cost is linear in the largest prime power of N, not in N; a level
+    above the factoring bound raises LevelBoundError.
+    """
     if level < 1:
         raise ValueError("level must be a positive integer")
     if disc % 4 in (2, 3):
         raise ValueError("disc must be 0 or 1 mod 4")
-    return [r for r in range(2 * level) if (r * r - disc) % (4 * level) == 0]
+    roots, modulus = [0], 1
+    for p, e in {2: 0, **_level_factors(level)}.items():
+        q = p**e if p > 2 else 2 ** (e + 1)
+        check = q if p > 2 else 2 * q
+        local = [x for x in range(q) if (x * x - disc) % check == 0]
+        inv = pow(modulus, -1, q)
+        roots = [r + modulus * ((x - r) * inv % q) for r in roots for x in local]
+        modulus *= q
+    return sorted(roots)
 
 
 class HeegnerIndex(_Record):

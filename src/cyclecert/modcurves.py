@@ -73,7 +73,11 @@ def cover_profile(level: int) -> CurveProfile:
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    factors = arith._level_factors(level)
+    return _cover_profile(level, arith._level_factors(level))
+
+
+def _cover_profile(level: int, factors: dict[int, int]) -> CurveProfile:
+    # cover_profile from the complete factorization of the level, taken by the caller
     # |PSL2(Z/2N)| / N = 4N**2 * prod(1 - 1/p**2) over p | 2N, twice that at
     # N = 1 where -I = I; the primes of 2N are those of N and 2
     twice_factors = {**factors, 2: factors.get(2, 0) + 1}

@@ -121,9 +121,9 @@ def _fixture_records(data: bytes, level: int) -> list[NewformRecord]:
 # and each level is parsed on first use; the cache dir and a fixtures override
 # are user-writable and are read on every call instead.
 @functools.lru_cache(maxsize=1)
-def fixture_levels() -> frozenset[int]:
-    """Levels covered by the bundled fixture snapshot."""
-    return frozenset(_levels_named(entry.name for entry in _fixture_dir().iterdir()))
+def fixture_levels() -> tuple[int, ...]:
+    """Levels covered by the bundled fixture snapshot, in increasing order."""
+    return tuple(sorted(_levels_named(entry.name for entry in _fixture_dir().iterdir())))
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,21 +347,22 @@ def witness_minus_rank1(
     higher have vanishing central derivative and are not witnesses.  Offline
     mode walks the levels that have local data (cache and fixtures) and keeps
     those dividing n, so it needs no factorization of n; levels with no local
-    data answer "no records" anyway.  A client with neither a cache dir nor a
-    fixtures override reads the bundled snapshot's parsed records directly.
-    Online mode scans every divisor of n, from a complete factorization.
-    Fetch failures and malformed data raise WitnessIndeterminate, which is
-    distinct from a definite None.
+    data answer "no records" anyway.  With no client, offline mode reads only
+    CACHE_DIR: unset, it scans the bundled snapshot's parsed records directly
+    and builds no client, as it does for a client with neither a cache dir
+    nor a fixtures override; otherwise, and in online mode, it builds a
+    default NewformClient.  Online mode scans every divisor of n, from a
+    complete factorization.  Fetch failures and malformed data raise
+    WitnessIndeterminate, which is distinct from a definite None.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    client = client or NewformClient()
-    if mode == "offline" and not client.cache_dir and not client.fixtures_dir:
-        scan = sorted(m for m in fixture_levels() if n % m == 0)
-        read = _bundled_records
+    if client is None and (mode != "offline" or os.environ.get(ENV_CACHE_DIR)):
+        client = NewformClient()
+    if mode == "offline" and (client is None or not (client.cache_dir or client.fixtures_dir)):
+        scan, read = fixture_levels(), _bundled_records
     elif mode == "offline":
-        scan = [m for m in sorted(client.available_offline_levels()) if n % m == 0]
-        read = client.fetch_newforms
+        scan, read = sorted(client.available_offline_levels()), client.fetch_newforms
     else:
         try:
             scan = arith.divisors(arith._level_factors(n))
@@ -369,6 +370,8 @@ def witness_minus_rank1(
             raise WitnessIndeterminate("cannot enumerate divisors of %d" % n) from exc
         read = functools.partial(client.fetch_newforms, mode=mode)
     for m in scan:
+        if n % m:
+            continue
         try:
             records = read(m)
         except TransientFetchError as exc:

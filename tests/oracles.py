@@ -15,8 +15,10 @@ every reduced form by all psi(N) coset representatives, the reduced-form
 walk, extended gcd and per-form local-kernel labels that the Heegner
 enumeration used before it moved to plain integers, the newform
 witness by scanning every divisor of n, the pullback of a generator by
-visiting every candidate splitting, and the round-trip residual through a
-validated `DivisorClass`.
+visiting every candidate splitting, the round-trip residual through a
+validated `DivisorClass`, the Heegner r values by scanning all 2N residues,
+Hurwitz class numbers by walking every reduced form below a bound, and the
+Hurwitz-Kronecker relation summed in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -867,3 +869,64 @@ def fricke_prime_square_genus(p: int) -> int:
     numerator = 2 * (twelve_g0 // 12) + 2 - (p - chi4) // 2
     assert numerator % 4 == 0 and numerator >= 0, p
     return numerator // 4
+
+
+def heegner_r_values_by_scan(level: int, disc: int) -> list[int]:
+    """All r in {0, ..., 2N-1} with r**2 = disc mod 4N, by scanning every residue.
+
+    The library ran this scan before it solved the congruence per prime power.
+    """
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+    if disc % 4 in (2, 3):
+        raise ValueError("disc must be 0 or 1 mod 4")
+    return [r for r in range(2 * level) if (r * r - disc) % (4 * level) == 0]
+
+
+def heegner_r_table_by_scan(level: int) -> dict[int, list[int]]:
+    """The same scan once for every disc: residue of r**2 mod 4N -> increasing r in {0, ..., 2N-1}."""
+    table: dict[int, list[int]] = {}
+    for r in range(2 * level):
+        table.setdefault(r * r % (4 * level), []).append(r)
+    return table
+
+
+def hurwitz_table_by_forms(limit: int) -> list[Fraction]:
+    """H(m) for 0 <= m <= limit (H(0) left at 0), by walking every reduced form [a, b, c] with 4ac - b**2 <= limit.
+
+    Reduced means |b| <= a <= c with b >= 0 when a = c (b = -a is never
+    walked); classes of k(x**2 + y**2) and k(x**2 + xy + y**2) weigh 1/2 and
+    1/3, every other class 1, imprimitive ones included.
+    """
+    sixths = [0] * (limit + 1)
+    a = 1
+    while 3 * a * a <= limit:
+        for b in range(-a + 1, a + 1):
+            c = a
+            while 4 * a * c - b * b <= limit:
+                if c > a or b >= 0:
+                    m = 4 * a * c - b * b
+                    if b == 0 and a == c:
+                        sixths[m] += 3
+                    elif a == b == c:
+                        sixths[m] += 2
+                    else:
+                        sixths[m] += 6
+                c += 1
+        a += 1
+    return [Fraction(s, 6) for s in sixths]
+
+
+def eichler_relation_sides_by_fractions(n: int, hurwitz) -> tuple[Fraction, int]:
+    """Both sides of the Hurwitz-Kronecker relation at n as the library summed them, in Fractions.
+
+    `hurwitz(m)` gives H(m) for m > 0; the boundary term is H(0) = -1/12, and
+    the right side is summed over every d in 1..n.
+    """
+    lhs = Fraction(0)
+    for r in range(isqrt(4 * n) + 1):
+        m = 4 * n - r * r
+        term = Fraction(-1, 12) if m == 0 else hurwitz(m)
+        lhs += term if r == 0 else 2 * term
+    rhs = sum(max(d, n // d) for d in range(1, n + 1) if n % d == 0)
+    return lhs, rhs

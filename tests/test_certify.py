@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 import time
@@ -142,6 +143,47 @@ def test_curve_profile_included_when_feasible():
         big = certify(n)
         assert big.curve_profile is None
         assert "curve profile omitted: level beyond the enumeration guard" in big.justification
+
+
+def test_each_level_is_factored_once(monkeypatch):
+    import cyclecert.arith as arith_mod
+
+    certify_mod = importlib.import_module("cyclecert.certify")  # the package's `certify` is the function
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    def refuse(n):
+        raise AssertionError("level %d factored again" % n)
+
+    cover_profile.cache_clear()  # a cached profile would hide a second factorization
+    monkeypatch.setattr(certify_mod, "factor", counted)
+    monkeypatch.setattr(arith_mod, "_level_factors", refuse)
+    profiles = [certify(n).curve_profile for n in range(1, 61)]
+    monkeypatch.undo()
+    assert calls == list(range(1, 61))
+    assert profiles == [cover_profile(n) for n in range(1, 61)]
+
+
+def test_offline_certificate_ignores_settings_it_never_reads(monkeypatch, capsys):
+    from cyclecert.cli import EXIT_ERROR, main
+
+    monkeypatch.delenv("CACHE_DIR", raising=False)
+    monkeypatch.delenv("TIMEOUT_MS", raising=False)
+    expected = [certify(n) for n in (1, 74, 128, 6 * 9001)]
+    monkeypatch.setenv("TIMEOUT_MS", "soon")
+    monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
+    assert [certify(n) for n in (1, 74, 128, 6 * 9001)] == expected
+    # a client is built, and its settings checked, wherever one is used
+    with pytest.raises(ValueError):
+        NewformClient()
+    with pytest.raises(ValueError):
+        certify(74, mode="online")
+    assert main(["certify", "74"]) == EXIT_ERROR
+    assert "error: " in capsys.readouterr().err
 
 
 def test_rejects_nonpositive_level():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -70,6 +71,19 @@ def test_heegner_degree(capsys):
     code, payload = run_json(capsys, "heegner", "1", "-3", "1")
     assert code == EXIT_OK
     assert payload["divisors"][0]["degree"] == "1/3"
+
+
+def test_heegner_at_a_level_with_two_large_primes_is_fast(capsys):
+    # N = 2 * 4999 * 10007: the r values come from three prime powers, not from 2N residues
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "heegner", "100049986", "-7")
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    rs = payload["r_values"]
+    assert rs == [12698983, 35154491, 64895495, 87351003, 112748969, 135204477, 164945481, 187400989]
+    assert all((r * r + 7) % (4 * 100049986) == 0 for r in rs)
+    assert [d["r"] for d in payload["divisors"]] == rs
+    assert elapsed < 1.0
 
 
 def test_heegner_all_r(capsys):

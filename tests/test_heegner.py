@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from cyclecert import heegner
-from cyclecert.arith import is_prime
+from cyclecert.arith import LevelBoundError, is_prime, large_level_bound
 from cyclecert.heegner import (
     BQForm,
     _egcd,
@@ -23,6 +23,10 @@ from cyclecert.heegner import (
     special_divisor_index,
 )
 from oracles import (
+    eichler_relation_sides_by_fractions,
+    heegner_r_table_by_scan,
+    heegner_r_values_by_scan,
+    hurwitz_table_by_forms,
     coset_reps_by_sweep,
     egcd_recursive,
     heegner_divisor_by_coset_scan,
@@ -144,6 +148,37 @@ def test_eichler_relation_small_range():
 )
 def test_r_values_examples(level, disc, expected):
     assert heegner_r_values(level, disc) == expected
+
+
+def test_r_values_match_the_residue_scan():
+    # every N <= 300 and every disc = 0, 1 mod 4 with |disc| < 400, positive ones included
+    for level in range(1, 301):
+        table = heegner_r_table_by_scan(level)
+        for disc in range(-399, 400):
+            if disc % 4 in (0, 1):
+                assert heegner_r_values(level, disc) == table.get(disc % (4 * level), []), (level, disc)
+    # levels with a large prime factor, a prime square and a disc divisible by the level's primes
+    for level, disc in ((9998, -7), (3 * 10007, -11), (4 * 4999, -4 * 4999), (8 * 97**2, -4 * 97), (4999, 5)):
+        assert heegner_r_values(level, disc) == heegner_r_values_by_scan(level, disc), (level, disc)
+
+
+def test_r_values_above_the_factoring_bound_raise_level_bound_error():
+    n = (10**12 + 39) * (10**12 + 61)
+    assert n > large_level_bound()
+    with pytest.raises(LevelBoundError):
+        heegner_r_values(n, -7)
+
+
+def test_eichler_relation_twelfths_match_the_fraction_sum(monkeypatch):
+    # class numbers from an independent walk of every reduced form with |D| <= 8000,
+    # so that the check costs the sums and not 8000 uncached class numbers
+    table = hurwitz_table_by_forms(8000)
+    assert table[1:1001] == [hurwitz_class_number(m) for m in range(1, 1001)]
+    monkeypatch.setattr(heegner, "hurwitz_class_number", table.__getitem__)
+    for n in range(1, 2001):
+        sides = eichler_relation_sides(n)
+        assert sides == eichler_relation_sides_by_fractions(n, table.__getitem__), n
+        assert sides[0] == sides[1] and type(sides[0]) is Fraction, n
 
 
 def test_r_values_closed_under_negation():

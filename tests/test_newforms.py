@@ -31,7 +31,7 @@ REQUIRED_FIXTURE_LEVELS = {37, 43, 53, 61, 67, 79, 83, 89, 101, 131, 125, 128, 2
 
 
 def test_fixture_coverage():
-    assert REQUIRED_FIXTURE_LEVELS <= fixture_levels()
+    assert REQUIRED_FIXTURE_LEVELS <= set(fixture_levels())
 
 
 def test_record_parity_validation():
@@ -408,6 +408,48 @@ def test_bundled_scan_reads_parsed_records_in_label_order(monkeypatch):
         monkeypatch.setattr(NewformClient, name, refuse)
     assert witness_minus_rank1(74)[0] == 37
     assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
+
+
+def _spy_on_client_construction(monkeypatch):
+    built = []
+    real_init = NewformClient.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NewformClient, "__init__", spy)
+    return built
+
+
+def test_default_offline_scan_builds_no_client(monkeypatch):
+    monkeypatch.delenv("CACHE_DIR", raising=False)
+    monkeypatch.setenv("TIMEOUT_MS", "soon")
+    monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
+    built = _spy_on_client_construction(monkeypatch)
+    assert witness_minus_rank1(74)[0] == 37
+    assert witness_minus_rank1(6 * 9001) is None
+    assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
+    assert built == []
+    # the online scan builds the default client, which checks every setting
+    with pytest.raises(ValueError):
+        witness_minus_rank1(74, mode="online")
+    with pytest.raises(ValueError):
+        NewformClient()
+    assert len(built) == 2
+
+
+def test_cache_dir_setting_still_decides_the_default_offline_witness(tmp_path, monkeypatch):
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path))
+    (tmp_path / "newforms").mkdir()
+    _write_level(tmp_path / "newforms", 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
+    built = _spy_on_client_construction(monkeypatch)
+    level, record = witness_minus_rank1(6 * 9001)
+    assert (level, record.label, record.source) == (9001, "9001.2.a.a", "cache")
+    witness = certify(6 * 9001).witnesses[-1]
+    assert (witness["level"], witness["label"], witness["data_source"]) == (9001, "9001.2.a.a", "cache")
+    assert witness_minus_rank1(74)[0] == 37
+    assert len(built) == 3
 
 
 def test_malformed_bundled_level_makes_the_witness_indeterminate(tmp_path, monkeypatch):
