@@ -6,13 +6,14 @@ an SL2(Z) change of variable with lower-left entry divisible by N.  Degrees
 are weighted class counts with weight 1/2 on classes proportional to
 x^2 + y^2 and 1/3 on classes proportional to x^2 + x*y + y^2.
 
-An SL2(Z) matrix takes a reduced form [a, b, c] to one with N | a and
-b = r mod 2N exactly when its first column lies in the kernel mod N of the
-rows (a, (b + r)/2) and ((b - r)/2, c), whose determinant (r**2 - D)/4 is
-0 mod N.  At each prime power p^e of N that kernel is one point of
-P^1(Z/p^e), read off in O(1) from a row with an entry prime to p, unless p
-divides all four entries (so p | gcd(D, N)); only then are its
-p^e + p^(e-1) points searched.  Reduced forms come from one walk, as int
+An SL2(Z) matrix takes a reduced form [a, b, c] to one with N | a and b = r
+mod 2N exactly when its first column lies in the kernel mod N of the rows
+(a, (b + r)/2) and ((b - r)/2, c), whose determinant (r**2 - D)/4 is 0 mod
+N.  At each prime power p^e of N that kernel is one point of P^1(Z/p^e),
+read off in O(1) from a row with an entry prime to p, unless p divides all
+four entries (so p | gcd(D, N)); only then are its p^e + p^(e-1) points
+searched.  A unit label (1, s) is completed by ((1, 0), (s, 1)), any other
+label (p, s) by t = p^-1 mod s.  Reduced forms come from one walk, as int
 triples, and a `BQForm` is built only where one is returned.
 """
 
@@ -210,13 +211,14 @@ def _p1_canon(p: int, q: int, n: int) -> tuple[int, int]:
     return (g, x)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # (g, x, y) with a*x + b*y = g: the Bezout pair of the recursive form, unrolled
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, (a, b) = a // b, (b, a % b)
-        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
-    return (a, x0, y0)
+def _sl2_completion(p: int, s: int) -> tuple[int, int]:
+    # (t, q) with p*t + s*q = 1 for coprime p >= 1, s >= 0, as Euclid's descent ends: t = p^-1 mod s in (-s/2, s/2]
+    if not s:
+        return (1, 0)
+    t = pow(p, -1, s)
+    if 2 * t > s:
+        t -= s
+    return (t, (1 - p * t) // s)
 
 
 def _crt_basis(n: int) -> list[tuple[int, int, int]]:
@@ -225,23 +227,23 @@ def _crt_basis(n: int) -> list[tuple[int, int, int]]:
     return [(p, p**e, n // p**e * pow(n // p**e, -1, p**e)) for p, e in _level_factors(n).items()]
 
 
-# automorph groups mod +-1 of x^2 + y^2 and x^2 + xy + y^2 on first columns, keyed by weight in sixths
-_AUTS = {3: ((1, 0, 0, 1), (0, -1, 1, 0)), 2: ((1, 0, 0, 1), (0, -1, 1, 1), (-1, -1, 1, 0))}
+# automorph groups mod +-1 on first columns, keyed by weight in sixths: trivial but for x^2 + y^2 and x^2 + xy + y^2
+_AUTS = {6: ((1, 0, 0, 1),), 3: ((1, 0, 0, 1), (0, -1, 1, 0)), 2: ((1, 0, 0, 1), (0, -1, 1, 1), (-1, -1, 1, 0))}
 
 
 def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
     """Enumerate the classes of forms [aN, b, c] of discriminant D with b = r mod 2N.
 
     Every class is a reduced form R = [a, b, c] transformed by an SL2(Z)
-    matrix M with first column (p, s).  With u = 2ap + bs and v = bp + 2cs
-    the transform has (2a', b') = M^T (u, v), so N | a' and b' = r mod 2N
-    say exactly that (p, s) is in the kernel mod N of the rows
-    (a, (b + r)/2) and ((b - r)/2, c).  M is built from the canonical label
-    of each kernel point, and the automorphs of R (order 2 or 3 mod +-1 in
-    the two exceptional shapes) glue labels that give equivalent forms.
-    Each representative is checked for N | a' and b' = r mod 2N, raising
-    RuntimeError (under `python -O` too), and becomes a BQForm only once
-    the int triples are sorted.  The degree is H(|D|) when gcd(D, N) = 1.
+    matrix M = ((p, -q), (s, t)).  With u = 2ap + bs and v = bp + 2cs the
+    transform is [(pu + sv)/2, tv - qu, .], so (p, s) lies in the kernel mod N
+    of the rows (a, (b + r)/2) and ((b - r)/2, c).  Each kernel point gets the
+    label of `_p1_canon`, inline when R has weight 1 and no prime divides the
+    whole system, and the automorphs of R glue labels that give equivalent
+    forms.  A unit label (1, s), s != 1, takes M = ((1, 0), (s, 1)); any other
+    is completed by one modular inverse in `_sl2_completion`.  Each result is
+    checked for N | a' and b' = r mod 2N, raising RuntimeError (under
+    `python -O` too).  The degree is H(|D|) when gcd(D, N) = 1.
     """
     n, disc, r = idx.level, idx.disc, idx.r
     basis = _crt_basis(n)
@@ -262,34 +264,42 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
                 # then the p^e + p^(e-1) points of P^1(Z/p^e) are searched
                 line = [(1, v) for v in range(q)] + [(p * u, 1) for u in range(q // p)]
                 wide += ([(u * idem, v * idem) for u, v in line if (a * u + h * v) % q == (k * u + c * v) % q == 0],)
-        points = [(x, y)]
-        for local in wide:
-            points = [(x0 + u, y0 + v) for x0, y0 in points for u, v in local]
-        if sixths in _AUTS:
+        if sixths != 6 or wide:
+            points = [(x, y)]
+            for local in wide:
+                points = [(x0 + u, y0 + v) for x0, y0 in points for u, v in local]
             # each orbit of the automorphs on the kernel is represented by its least label
             labels = {min(_p1_canon(g11 * p + g12 * s, g21 * p + g22 * s, n) for g11, g12, g21, g22 in _AUTS[sixths])
                       for p, s in points}
-        elif wide:
-            labels = {_p1_canon(p, s, n) for p, s in points}
         else:
-            labels = (_p1_canon(x, y, n),)
+            # the label of _p1_canon inline: (1, y/x mod N) for a unit x, then M = ((1, 0), (s, 1)) unless s = 1
+            g = gcd(x, n)
+            m = n // g
+            s = pow(x // g, -1, m) * y % m
+            if g == 1 and s != 1:
+                found.append((a + s * (b + c * s), b + 2 * c * s, c, 6))
+                continue
+            while gcd(s, g) != 1:
+                s += m
+            labels = ((g, s),)
         for p, s in labels:
             # M = ((p, -q), (s, t)) in SL2(Z): gcd(p, s) = 1 for a canonical label, (0, 1) lifted to (N, 1)
             p = p or n
-            _, t, q = _egcd(p, s)
-            a2 = a * p * p + b * p * s + c * s * s
-            b2 = b * (p * t - q * s) + 2 * (c * s * t - a * p * q)
-            if a2 % n or (b2 - r) % (2 * n):
-                raise RuntimeError("%r: representative [%d, %d, .] breaks N | a, b = r mod 2N" % (idx, a2, b2))
-            found.append((a2, b2, a * q * q - b * q * t + c * t * t, sixths))
+            t, q = _sl2_completion(p, s)
+            u, v = 2 * a * p + b * s, b * p + 2 * c * s
+            found.append(((p * u + s * v) // 2, t * v - q * u, a * q * q - b * q * t + c * t * t, sixths))
     classes = []
+    total = 0
     for a, b, c, w in sorted(found):
-        # BQForm(a, b, c) without the frame of its __init__, as DivisorClass._from_valid builds
+        if a % n or (b - r) % (2 * n):
+            raise RuntimeError("%r: representative [%d, %d, .] breaks N | a, b = r mod 2N" % (idx, a, b))
+        # BQForm(a, b, c) without the frame of its __init__ or a kwargs dict: three stores into its fresh __dict__
         form = BQForm.__new__(BQForm)
-        form.__dict__.update(a=a, b=b, c=c)
+        fields = form.__dict__
+        fields["a"], fields["b"], fields["c"] = a, b, c
         classes.append((form, _WEIGHTS[w]))
-    degree = Fraction(sum(w for *_, w in found), 6)
-    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())
+        total += w
+    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=Fraction(total, 6), self_paired=idx.self_paired())
 
 
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:

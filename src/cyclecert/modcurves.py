@@ -87,13 +87,13 @@ def _cover_profile(level: int, factors: dict[int, int]) -> CurveProfile:
     if level == 1:
         cusps = 3  # -I lies in the group, the three cusps of Gamma(2)
     else:
-        # cusps = sum over d | 2N of phi(d) * phi(2N/d) * gcd(d, N) / d,
-        # multiplicative in 2N: at p^e || 2N the divisors p^i contribute
-        # phi(p^i) * phi(p^(e - i)), halved at p = 2, i = e.  That term can
-        # be a half-integer, so count twice the cusps and halve once.
+        # cusps = sum over d | 2N of phi(d) * phi(2N/d) * gcd(d, N) / d, multiplicative
+        # in 2N: at p^e || 2N the divisors p^i contribute phi(p^i) * phi(p^(e - i)), in all
+        # 2(p - 1)p^(e-1) + (e - 1)(p - 1)^2 p^(e-2), with the i = e term halved at p = 2.
+        # That term can be a half-integer, so count twice the cusps and halve once.
         twice = 1
         for p, e in twice_factors.items():
-            local = sum(_phi_power(p, i) * _phi_power(p, e - i) for i in range(e + 1))
+            local = (p - 1) * p ** (e - 1) * (2 * p + (e - 1) * (p - 1)) // p
             twice *= 2 * local - _phi_power(p, e) if p == 2 else local
         cusps, odd = divmod(twice, 2)
         assert odd == 0

@@ -10,8 +10,8 @@ from cyclecert import heegner
 from cyclecert.arith import LevelBoundError, is_prime, large_level_bound
 from cyclecert.heegner import (
     BQForm,
-    _egcd,
     _p1_canon,
+    _sl2_completion,
     CongruenceError,
     HeegnerIndex,
     class_number,
@@ -81,16 +81,21 @@ def test_reduced_forms_match_the_while_walk():
             assert reduced_forms(n) == reduced_forms_by_walk(n)
 
 
-def test_egcd_matches_the_recursive_form():
-    # the Bezout pair, not only the gcd, fixes the representatives; signed
-    # 21-bit pairs, one in 25 with a zero, equal, opposite or unit argument
+def test_sl2_completion_matches_the_recursive_egcd():
+    # the Bezout pair, not only the gcd, fixes the representatives; on the domain
+    # of canonical labels, coprime p >= 1 and s >= 0: every pair below 600, then
+    # 10^5 seeded pairs up to 2^64
+    for p in range(1, 600):
+        for s in range(600):
+            if gcd(p, s) == 1:
+                assert (1, *_sl2_completion(p, s)) == egcd_recursive(p, s)
     rng = random.Random(10**5)
-    for i in range(10**5):
-        a, b = rng.randrange(-2**20, 2**20), rng.randrange(-2**20, 2**20)
-        if i % 25 == 0:
-            b = (0, a, -a, 1)[i // 25 % 4]
-            a, b = (a, b) if i // 100 % 2 else (b, a)
-        assert _egcd(a, b) == egcd_recursive(a, b)
+    checked = 0
+    while checked < 10**5:
+        p, s = rng.randrange(1, 2**64), rng.randrange(2**64)
+        if gcd(p, s) == 1:
+            assert (1, *_sl2_completion(p, s)) == egcd_recursive(p, s)
+            checked += 1
 
 
 def test_enumeration_matches_the_local_kernel_reference():
@@ -109,10 +114,40 @@ def test_enumeration_matches_the_local_kernel_reference():
 
 def test_a_broken_representative_raises_even_under_python_O(monkeypatch):
     # a completion with determinant 0 keeps N | a' but sends b' to 0, not r;
-    # the check is a raise, not an assert, so `python -O` keeps it
-    monkeypatch.setattr(heegner, "_egcd", lambda a, b: (1, 0, 0))
+    # the check is a raise, not an assert, so `python -O` keeps it.  At this
+    # index two forms have the unit label (1, 1), the one unit label that the
+    # completion still handles
+    monkeypatch.setattr(heegner, "_sl2_completion", lambda p, s: (0, 0))
     with pytest.raises(RuntimeError, match="breaks N"):
         enumerate_heegner_divisor(HeegnerIndex(2, -23, 1))
+
+
+@pytest.mark.parametrize(
+    "level,disc,r",
+    [
+        (6, -23, 1),  # only labels (g, s) with 1 < g = gcd(x, N) at a composite level
+        (7, -3, 5),  # the automorph shape [1, 1, 1], labels glued by _p1_canon
+        (9, -99, 3),  # 3 | gcd(D, N) divides every entry of the rows: the searched P^1(Z/9)
+    ],
+)
+def test_a_broken_completion_raises_on_every_path_through_it(monkeypatch, level, disc, r):
+    # at each index the forms that reach the completion all take the named path;
+    # the others take the unit shortcut ((1, 0), (s, 1)) and stay valid
+    monkeypatch.setattr(heegner, "_sl2_completion", lambda p, s: (0, 0))
+    with pytest.raises(RuntimeError, match="breaks N"):
+        enumerate_heegner_divisor(HeegnerIndex(level, disc, r))
+
+
+def test_enumeration_matches_the_local_kernel_reference_at_composite_bench_levels():
+    # the composite levels of the heegner-enum workload, where more than half of
+    # the forms take a non-unit label: 12 seeded D per level, every r, gcd(D, N) > 1 included
+    rng = random.Random(60120)
+    for level in (60, 120, 180, 250):
+        discs = [d for d in range(-3, -5001, -1) if d % 4 in (0, 1) and heegner_r_values(level, d)]
+        for disc in rng.sample(discs, 12):
+            for r in heegner_r_values(level, disc):
+                idx = HeegnerIndex(level, disc, r)
+                assert enumerate_heegner_divisor(idx) == heegner_divisor_by_local_kernels(idx)
 
 
 def test_reduced_form_conventions():
