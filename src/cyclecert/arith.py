@@ -4,10 +4,10 @@ Every certificate criterion is read off the factorization of N, so this is the
 one module that factors.  `factor` is complete for every N up to the size
 bound of the certificate; above it, where the bound clause already decides,
 a composite piece may be returned unsplit as the cofactor.  Code that needs
-the complete factorization calls `_level_factors`, the one place where an
-unsplit cofactor becomes a LevelBoundError.  `_Record`, the base of the
-package's value records, lives here because every other module imports
-this one.
+the complete factorization calls `_level_factors`, the one place where a
+level below 1 is refused and an unsplit cofactor becomes a LevelBoundError.
+`_Record`, the base of the package's value records, lives here because every
+other module imports this one.
 """
 
 from __future__ import annotations
@@ -160,7 +160,9 @@ class LevelBoundError(ValueError):
 
 
 def _level_factors(n: int) -> dict[int, int]:
-    """The complete factorization of n, or LevelBoundError naming n."""
+    """The complete factorization of a level n >= 1, or LevelBoundError naming n; ValueError below 1."""
+    if n < 1:
+        raise ValueError("level must be a positive integer")
     factors, cofactor = factor(n)
     if cofactor > 1:
         raise LevelBoundError(

@@ -14,6 +14,7 @@ from .modcurves import CurveProfile, _cover_profile
 from .newforms import (
     NewformClient,
     WitnessIndeterminate,
+    _check_mode,
     witness_minus_rank1,
 )
 
@@ -71,13 +72,15 @@ def certify(
 
     The curve profile is attached for n <= 60 only, computed from the
     factorization already taken; above that the justification notes it as
-    omitted.  With no newform source, offline mode builds no client and reads
-    only CACHE_DIR (see `witness_minus_rank1`), so no other setting can fail
-    the call.  An unavailable or failing newform source degrades the analytic
-    clause to "not evaluated"; it never fails the call.
+    omitted.  Offline mode builds no client and reads only the cache and
+    fixtures directories (see `witness_minus_rank1`), so no other setting can
+    fail the call.  An unknown mode raises ValueError on entry.  An
+    unavailable or failing newform source degrades the analytic clause to
+    "not evaluated"; it never fails the call.
     """
     if n < 1:
         raise ValueError("level must be a positive integer")
+    _check_mode(mode)
     bound = large_level_bound()
     known, cofactor = factor(n)
     notes: list[str] = []

@@ -140,8 +140,6 @@ def heegner_r_values(level: int, disc: int) -> list[int]:
     the cost is linear in the largest prime power of N, not in N; a level
     above the factoring bound raises LevelBoundError.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
     if disc % 4 in (2, 3):
         raise ValueError("disc must be 0 or 1 mod 4")
     roots, modulus = [0], 1

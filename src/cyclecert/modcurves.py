@@ -45,8 +45,6 @@ class CurveProfile(arith._Record):
 
 def x0_profile(level: int) -> CurveProfile:
     """Classical index, elliptic-point, cusp and genus data of X_0(N)."""
-    if level < 1:
-        raise ValueError("level must be a positive integer")
     n = level
     factors = arith._level_factors(n)
     index = n
@@ -71,8 +69,6 @@ def cover_profile(level: int) -> CurveProfile:
     N >= 2, so the index is |PSL2(Z/2N)| / N.  The group lies in Gamma_0(4),
     which has no elliptic points, so nu2 = nu3 = 0.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
     return _cover_profile(level, arith._level_factors(level))
 
 
@@ -96,7 +92,8 @@ def _cover_profile(level: int, factors: dict[int, int]) -> CurveProfile:
             local = (p - 1) * p ** (e - 1) * (2 * p + (e - 1) * (p - 1)) // p
             twice *= 2 * local - _phi_power(p, e) if p == 2 else local
         cusps, odd = divmod(twice, 2)
-        assert odd == 0
+        if odd:
+            raise RuntimeError("twice the cusp count at level %d is odd" % level)
     return CurveProfile("xn", level, index, 0, 0, cusps, _genus(index, 0, 0, cusps))
 
 
@@ -139,8 +136,6 @@ def cover_degree_over_x0(level: int) -> int:
     The index ratio 4N**2 * prod(1 - 1/p**2 : p | 2N) / (N * prod(1 + 1/p : p | N))
     in closed form: 6 at N = 1, 4*phi(N) for even N and 3*phi(N) for odd N > 1.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
     factors = arith._level_factors(level)
     if level == 1:
         return 6

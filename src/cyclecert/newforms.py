@@ -1,10 +1,12 @@
 """Client for weight-2 newform analytic data: HTTP fetch, local cache, bundled fixtures.
 
 Records carry the level, an opaque label, the sign of the functional equation
-and the analytic rank.  The online path is rate limited, deduplicates
-concurrent requests for the same level, and writes the cache atomically;
-the offline path reads the cache and then the bundled fixture snapshot,
-which is listed once per process and parsed one level at a time on first use.
+and the analytic rank; one normalization serves every source and rejects a
+record of another level than the one read.  The online path is rate limited,
+deduplicates concurrent requests for the same level, and writes the cache
+atomically.  The offline path is module functions of the cache and fixtures
+directories alone, with no lock: the cache, then the fixtures or the bundled
+snapshot, which is listed once per process and parsed per level on first use.
 Corrupt cache files are quarantined, never deleted.
 """
 
@@ -43,6 +45,11 @@ class WitnessIndeterminate(RuntimeError):
     """A witness scan could not complete; distinct from a definite 'no witness'."""
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("online", "offline"):
+        raise ValueError("mode must be 'online' or 'offline'")
+
+
 class NewformRecord(arith._Record):
     _fields = ("level", "label", "weight", "fricke_sign", "analytic_rank", "source")
 
@@ -78,9 +85,10 @@ def _normalize_record(raw: object, level: int, source: str, index: int) -> Newfo
         rank = raw.get("analytic_rank", raw.get("rank"))
         if sign is None or rank is None:
             raise KeyError("fricke_sign/analytic_rank")
-        rec_level = int(raw.get("level", level))
+        if int(raw.get("level", level)) != level:
+            raise PayloadError("record %d is of level %s, not %d" % (index, raw["level"], level), index)
         return NewformRecord(
-            level=rec_level,
+            level=level,
             label=label,
             weight=weight,
             fricke_sign=int(sign),
@@ -93,19 +101,27 @@ def _normalize_record(raw: object, level: int, source: str, index: int) -> Newfo
         raise PayloadError("record %d malformed: %s" % (index, exc), index) from exc
 
 
+def _records(raws: object, level: int, source: str) -> list[NewformRecord]:
+    # the records of one level from any source, normalized and in label order
+    if not isinstance(raws, list):
+        raise PayloadError("records for level %d are not a JSON array" % level)
+    records = [_normalize_record(raw, level, source, i) for i, raw in enumerate(raws)]
+    records.sort(key=lambda r: r.label)
+    return records
+
+
 def _fixture_dir():
     return resources.files(__package__) / "fixtures"
 
 
 def _levels_named(names) -> set[int]:
-    """Levels M of the `level_<M>.json` file names; any other name is skipped."""
+    """Levels M >= 1 of the file names `level_<M>.json`, M written as str(M); any other name is skipped."""
     levels = set()
     for name in names:
         if name.startswith("level_") and name.endswith(".json"):
-            try:
-                levels.add(int(name[len("level_") : -len(".json")]))
-            except ValueError:
-                continue
+            digits = name[len("level_") : -len(".json")]
+            if digits.isascii() and digits.isdigit() and digits[0] != "0":
+                levels.add(int(digits))
     return levels
 
 
@@ -114,7 +130,7 @@ def _fixture_records(data: bytes, level: int) -> list[NewformRecord]:
         raws = json.loads(data)["records"]
     except (ValueError, KeyError, TypeError) as exc:
         raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
-    return [_normalize_record(raw, level, "fixture", i) for i, raw in enumerate(raws)]
+    return _records(raws, level, "fixture")
 
 
 # The bundled snapshot is part of the installed package, so it is listed once
@@ -131,7 +147,79 @@ def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
     # called for levels in fixture_levels() only, which bounds the cache;
     # kept in label order, so a scan's first hit is its least-labelled one
     data = (_fixture_dir() / ("level_%d.json" % level)).read_bytes()
-    return tuple(sorted(_fixture_records(data, level), key=lambda r: r.label))
+    return tuple(_fixture_records(data, level))
+
+
+def _cache_path(cache_dir: str, level: int) -> str:
+    return os.path.join(cache_dir, "newforms", "level_%d.json" % level)
+
+
+def _read_cache(cache_dir: str, level: int) -> list[NewformRecord] | None:
+    path = _cache_path(cache_dir, level)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("schema_version") != CACHE_SCHEMA_VERSION:
+            raise ValueError("unknown cache schema version")
+        return _records(payload["records"], level, "cache")
+    except OSError:
+        # never cached, quarantined by another process, or not a readable
+        # file (a directory, no permission): a miss, left where it is
+        return None
+    except (ValueError, KeyError, TypeError):
+        # malformed JSON, schema or records; a PayloadError is a ValueError
+        _quarantine(path)
+        return None
+
+
+def _quarantine(path: str) -> None:
+    target = path + ".corrupt"
+    suffix = 0
+    while os.path.exists(target):
+        suffix += 1
+        target = "%s.corrupt.%d" % (path, suffix)
+    try:
+        os.replace(path, target)
+    except FileNotFoundError:
+        # another process moved the corrupt file away first
+        return
+
+
+def _read_fixture(fixtures_dir: str | None, level: int) -> list[NewformRecord] | None:
+    if not fixtures_dir:
+        return list(_bundled_records(level)) if level in fixture_levels() else None
+    path = os.path.join(fixtures_dir, "level_%d.json" % level)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        # present but unreadable (a directory, no permission)
+        raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
+    return _fixture_records(data, level)
+
+
+def _read_offline(cache_dir: str | None, fixtures_dir: str | None, level: int) -> list[NewformRecord]:
+    """Records for one level from the cache, else the fixtures; empty when neither covers it."""
+    records = _read_cache(cache_dir, level) if cache_dir else None
+    if records is None:
+        records = _read_fixture(fixtures_dir, level)
+    return records or []
+
+
+def _offline_levels(cache_dir: str | None, fixtures_dir: str | None) -> set[int]:
+    """Levels with a cache entry or a fixture: the bundled snapshot's unless a fixtures dir replaces it."""
+    if not fixtures_dir:
+        levels = set(fixture_levels())
+    elif os.path.isdir(fixtures_dir):
+        levels = _levels_named(os.listdir(fixtures_dir))
+    else:
+        levels = set()
+    cache_root = os.path.join(cache_dir, "newforms") if cache_dir else None
+    if cache_root and os.path.isdir(cache_root):
+        levels |= _levels_named(os.listdir(cache_root))
+    return levels
 
 
 class NewformClient:
@@ -205,48 +293,10 @@ class NewformClient:
 
     # -- cache -------------------------------------------------------------
 
-    def _cache_path(self, level: int) -> str | None:
-        if not self.cache_dir:
-            return None
-        return os.path.join(self.cache_dir, "newforms", "level_%d.json" % level)
-
-    def _read_cache(self, level: int) -> list[NewformRecord] | None:
-        path = self._cache_path(level)
-        if path is None:
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
-                raise ValueError("unknown cache schema version")
-            return [
-                _normalize_record(raw, level, "cache", i)
-                for i, raw in enumerate(payload["records"])
-            ]
-        except OSError:
-            # never cached, quarantined by another process, or not a readable
-            # file (a directory, no permission): a miss, left where it is
-            return None
-        except (ValueError, KeyError, TypeError, PayloadError):
-            self._quarantine(path)
-            return None
-
-    def _quarantine(self, path: str) -> None:
-        target = path + ".corrupt"
-        suffix = 0
-        while os.path.exists(target):
-            suffix += 1
-            target = "%s.corrupt.%d" % (path, suffix)
-        try:
-            os.replace(path, target)
-        except FileNotFoundError:
-            # another process moved the corrupt file away first
-            return
-
     def _write_cache(self, level: int, records: list[NewformRecord]) -> None:
-        path = self._cache_path(level)
-        if path is None:
+        if not self.cache_dir:
             return
+        path = _cache_path(self.cache_dir, level)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = {
             "schema_version": CACHE_SCHEMA_VERSION,
@@ -262,71 +312,31 @@ class NewformClient:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    # -- fixtures ----------------------------------------------------------
-
-    def _read_fixture(self, level: int) -> list[NewformRecord] | None:
-        if not self.fixtures_dir:
-            return list(_bundled_records(level)) if level in fixture_levels() else None
-        path = os.path.join(self.fixtures_dir, "level_%d.json" % level)
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            # present but unreadable (a directory, no permission)
-            raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
-        return _fixture_records(data, level)
+    # -- public API --------------------------------------------------------
 
     def available_offline_levels(self) -> set[int]:
-        if not self.fixtures_dir:
-            levels = set(fixture_levels())
-        elif os.path.isdir(self.fixtures_dir):
-            levels = _levels_named(os.listdir(self.fixtures_dir))
-        else:
-            levels = set()
-        cache_root = os.path.join(self.cache_dir, "newforms") if self.cache_dir else None
-        if cache_root and os.path.isdir(cache_root):
-            levels |= _levels_named(os.listdir(cache_root))
-        return levels
-
-    # -- public API --------------------------------------------------------
+        return _offline_levels(self.cache_dir, self.fixtures_dir)
 
     def fetch_newforms(self, level: int, mode: str = "offline") -> list[NewformRecord]:
         """Records for one level; sorted by label for determinism.
 
         Online mode performs a rate-limited GET, normalizes the JSON array and
-        refreshes the cache.  Offline mode reads cache then fixtures, and
-        returns an empty list when neither covers the level.
+        refreshes the cache.  Offline mode reads cache then fixtures, with no
+        lock, and returns an empty list when neither covers the level.
         """
         if level < 1:
             raise ValueError("level must be a positive integer")
-        if mode not in ("online", "offline"):
-            raise ValueError("mode must be 'online' or 'offline'")
-        lock = self._lock_for(level)
-        with lock:
-            if mode == "online":
-                if level in self._memo:
-                    return list(self._memo[level])
-                self._throttle()
-                payload = self._fetch_json(level)
-                if not isinstance(payload, list):
-                    raise PayloadError("payload is not a JSON array")
-                records = [
-                    _normalize_record(raw, level, "online", i)
-                    for i, raw in enumerate(payload)
-                ]
-                records.sort(key=lambda r: r.label)
-                self._write_cache(level, records)
-                self._memo[level] = records
-                return list(records)
-            records = self._read_cache(level)
-            if records is None:
-                records = self._read_fixture(level)
-            if records is None:
-                return []
-            records.sort(key=lambda r: r.label)
-            return records
+        _check_mode(mode)
+        if mode == "offline":
+            return _read_offline(self.cache_dir, self.fixtures_dir, level)
+        with self._lock_for(level):
+            if level in self._memo:
+                return list(self._memo[level])
+            self._throttle()
+            records = _records(self._fetch_json(level), level, "online")
+            self._write_cache(level, records)
+            self._memo[level] = records
+            return list(records)
 
     def _lock_for(self, level: int) -> threading.Lock:
         with self._level_locks_guard:
@@ -347,23 +357,26 @@ def witness_minus_rank1(
     higher have vanishing central derivative and are not witnesses.  Offline
     mode walks the levels that have local data (cache and fixtures) and keeps
     those dividing n, so it needs no factorization of n; levels with no local
-    data answer "no records" anyway.  With no client, offline mode reads only
-    CACHE_DIR: unset, it scans the bundled snapshot's parsed records directly
-    and builds no client, as it does for a client with neither a cache dir
-    nor a fixtures override; otherwise, and in online mode, it builds a
-    default NewformClient.  Online mode scans every divisor of n, from a
-    complete factorization.  Fetch failures and malformed data raise
-    WitnessIndeterminate, which is distinct from a definite None.
+    data answer "no records" anyway.  It reads only the two directories, the
+    client's or, with no client, CACHE_DIR alone, and builds no client; with
+    neither directory it scans the bundled snapshot's parsed records.  Online
+    mode builds the default NewformClient when given none, and scans every
+    divisor of n, from a complete factorization.  Fetch failures and
+    malformed data raise WitnessIndeterminate, which is distinct from a
+    definite None.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if client is None and (mode != "offline" or os.environ.get(ENV_CACHE_DIR)):
-        client = NewformClient()
-    if mode == "offline" and (client is None or not (client.cache_dir or client.fixtures_dir)):
-        scan, read = fixture_levels(), _bundled_records
-    elif mode == "offline":
-        scan, read = sorted(client.available_offline_levels()), client.fetch_newforms
+    if mode == "offline":
+        dirs = (os.environ.get(ENV_CACHE_DIR), None) if client is None else (client.cache_dir, client.fixtures_dir)
+        if any(dirs):
+            scan = sorted(_offline_levels(*dirs))
+            read = functools.partial(_read_offline, *dirs)
+        else:
+            scan, read = fixture_levels(), _bundled_records
     else:
+        _check_mode(mode)
+        client = client or NewformClient()
         try:
             scan = arith.divisors(arith._level_factors(n))
         except arith.LevelBoundError as exc:

@@ -10,11 +10,12 @@ comparisons are on Heegner coefficients alone.
 Keys are validated once, where they enter: `decompose_heegner`,
 `apply_decomposition` and `verify_decomposition` check their target,
 `DivisorClass` and `AmbientGenerator` check what they are given.  Inside, a
-ladder rung's congruence m = q(mu) mod 1 is checked in integers on 4N*m, and
-pullbacks are summed per r1 on the integer keys 4N*m0, visiting s and -s
-once where both split; every key a pullback reaches is valid by
-construction, so the classes returned are built without checking their keys
-again, and `Fraction` keys appear only in what is returned.
+ladder rung differs from its valid target by a multiple of N in m, so it
+keeps the congruence m = q(mu) mod 1 and is built unchecked, and pullbacks
+are summed per r1 on the integer keys 4N*m0, visiting s and -s once where
+both split; every key a pullback reaches is valid by construction, so the
+classes returned are built without checking their keys again, and
+`Fraction` keys appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -113,18 +114,6 @@ class DivisorClass(_Record):
         return not self.heeg_coeffs and self.omega_coeff == 0 and self.cusp_coeff == 0
 
 
-def _check_congruence(four_nm: Fraction | int, mu: DiscElement) -> None:
-    """Raise unless m = four_nm/4N satisfies m = q(mu) mod 1.
-
-    With q(mu) = (r2**2 - r1**2)/4N mod 1 the condition is the integer
-    congruence four_nm + r1**2 - r2**2 = 0 mod 4N, which also requires 4N*m
-    to be an integer.
-    """
-    four_n = 4 * mu.level
-    if (four_nm + mu.r1 * mu.r1 - mu.r2 * mu.r2) % four_n:
-        raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (Fraction(four_nm, four_n), mu))
-
-
 class AmbientGenerator(_Record):
     """Generator Z*(m, mu) of the divisor algebra on the product surface.
 
@@ -140,17 +129,13 @@ class AmbientGenerator(_Record):
         m = Fraction(m)
         if m < 0:
             raise ValueError("m must be nonnegative")
-        four_nm = m * 4 * mu.level
-        _check_congruence(four_nm, mu)
+        four_n = 4 * mu.level
+        four_nm = m * four_n
+        # m = q(mu) mod 1 with q(mu) = (r2**2 - r1**2)/4N mod 1, as the integer
+        # congruence 4N*m + r1**2 - r2**2 = 0 mod 4N, which needs 4N*m integral
+        if (four_nm + mu.r1 * mu.r1 - mu.r2 * mu.r2) % four_n:
+            raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (m, mu))
         self.__dict__.update(m=m, mu=mu, _four_nm=four_nm.numerator)
-
-    @classmethod
-    def _rung(cls, four_nm: int, mu: DiscElement) -> "AmbientGenerator":
-        """Z*(four_nm/4N, mu) for an integer four_nm >= 0, with the public constructor's check."""
-        _check_congruence(four_nm, mu)
-        out = cls.__new__(cls)
-        out.__dict__.update(m=Fraction(four_nm, 4 * mu.level), mu=mu, _four_nm=four_nm)
-        return out
 
     @property
     def level(self) -> int:
@@ -271,9 +256,10 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     (no rung) elsewhere.  The Z*(0, 0) coefficient is chosen so the Omega
     parts cancel, and the cusp part stays ambiguous.  The target key is
     validated once, on entry; the rungs are built in one loop from their
-    integers 4N*m, each with the congruence m = q(mu) mod 1 checked as
-    4N*m + r1**2 = 0 mod 4N.  The round trip through `verify_decomposition`
-    is linear in the number of pullback terms it sums.
+    integers 4N*m = 4N*m0 - 4N**2*j, which keep the target's congruence
+    4N*m + r1**2 = 0 mod 4N, so none is checked again.  The round trip
+    through `verify_decomposition` is linear in the number of pullback
+    terms it sums.
     """
     idx = special_divisor_index(level, m0, r1)
     n, r1, four_nm = level, idx.r, -idx.disc
@@ -281,14 +267,11 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     step = four_n * n  # the drop in 4N*m from one rung to the next
     coeffs = _inverse_theta(-(-four_nm // step))
     mu = DiscElement(level=n, r1=r1, r2=0)
-    r1_sq = r1 * r1
     new = AmbientGenerator.__new__
     terms: list[tuple[AmbientGenerator, Fraction]] = []
     for i, c in enumerate(coeffs):
-        # AmbientGenerator._rung inlined: its congruence check, then its fields
+        # 4N*m = 4N*m0 - 4N**2*i keeps the target's congruence, so the fields are set unchecked
         k = four_nm - step * i
-        if (k + r1_sq) % four_n:
-            _check_congruence(k, mu)
         rung = new(AmbientGenerator)
         rung.__dict__.update(m=Fraction(k, four_n), mu=mu, _four_nm=k)
         terms.append((rung, Fraction(c)))
@@ -298,7 +281,7 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
         top = four_nm // step
         lam0 = -sum(coeffs[top - t * t] for t in range(1, isqrt(top) + 1))
         if lam0:
-            terms.append((AmbientGenerator._rung(0, mu), Fraction(lam0)))
+            terms.append((AmbientGenerator(Fraction(0), mu), Fraction(lam0)))
     return PullbackDecomposition(
         level=n,
         target=(Fraction(four_nm, four_n), r1),

@@ -203,12 +203,35 @@ def test_malformed_newform_data_degrades_to_arithmetic_clauses(tmp_path):
         assert "analytic clause not evaluated: malformed data at level 1" in unknown.justification
 
 
-def test_stray_fixture_name_does_not_fail_certify(tmp_path):
-    (tmp_path / "level_abc.json").write_text(json.dumps({"records": []}), encoding="utf-8")
-    client = NewformClient(fixtures_dir=str(tmp_path))
-    cert = certify(74, newform_source=client)
-    assert cert.clause == CLAUSE_A1 and "not evaluated" not in cert.justification
-    assert certify(35, newform_source=client).verdict == VERDICT_UNKNOWN
+def test_stray_fixture_name_does_not_fail_certify(tmp_path, monkeypatch):
+    # no level is named: level_0 would divide n by zero, level_-2 divides every even n,
+    # and level_007 and level_1_0 are not the files read for 7 and 10
+    monkeypatch.delenv("CACHE_DIR", raising=False)
+    fixtures, cache = tmp_path / "fixtures", tmp_path / "cache" / "newforms"
+    for directory in (fixtures, cache):
+        directory.mkdir(parents=True)
+        for name in ("level_abc.json", "level_0.json", "level_-2.json", "level_007.json", "level_1_0.json"):
+            (directory / name).write_text(json.dumps({"schema_version": 1, "records": []}), encoding="utf-8")
+    sources = [NewformClient(fixtures_dir=str(fixtures)), NewformClient(cache_dir=str(cache.parent)), None]
+    for client in sources:
+        if client is None:
+            monkeypatch.setenv("CACHE_DIR", str(cache.parent))
+        cert = certify(74, newform_source=client)
+        assert cert.clause == CLAUSE_A1 and "not evaluated" not in cert.justification
+        assert certify(35, newform_source=client).verdict == VERDICT_UNKNOWN
+
+
+def test_cache_record_of_another_level_is_no_witness(tmp_path, monkeypatch):
+    # a level-37 cache file holding a level-11 record is quarantined, not served as the level-37 witness
+    cache = tmp_path / "newforms"
+    cache.mkdir()
+    record = {"level": 11, "label": "11.2.a.a", "weight": 2, "fricke_sign": -1, "analytic_rank": 1}
+    payload = {"schema_version": 1, "level": 37, "records": [record]}
+    (cache / "level_37.json").write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path))
+    witness = certify(370).witnesses[-1]
+    assert (witness["level"], witness["label"], witness["data_source"]) == (37, "37.2.a.a", "fixture")
+    assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
 
 
 # With the bundled snapshot the unknown levels are exactly the divisors of the

@@ -4,8 +4,9 @@ from math import isqrt
 
 import pytest
 
-from cyclecert import arith
+from cyclecert import arith, modcurves
 from cyclecert.arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, is_prime
+from cyclecert.heegner import heegner_r_values
 from cyclecert.modcurves import (
     LevelBoundError,
     cover_degree_over_x0,
@@ -249,3 +250,21 @@ def test_each_level_is_factored_once(monkeypatch, fn):
         del calls[:]
         fn(n)
         assert calls == [n], (fn, n)
+
+
+@pytest.mark.parametrize("level", [0, -6])
+@pytest.mark.parametrize(
+    "call",
+    [x0_profile, cover_profile, cover_degree_over_x0, lambda level: heegner_r_values(level, -3)],
+    ids=["x0_profile", "cover_profile", "cover_degree_over_x0", "heegner_r_values"],
+)
+def test_level_below_one_is_rejected(call, level):
+    with pytest.raises(ValueError, match="^level must be a positive integer$"):
+        call(level)
+
+
+def test_odd_twice_cusp_count_raises_without_asserts(monkeypatch):
+    # a raise, not an assert: the profile goes into certificates, also under python -O
+    monkeypatch.setattr(modcurves, "_phi_power", lambda p, e: p ** (e - 1) * (p - 1) + 1 if e else 1)
+    with pytest.raises(RuntimeError, match="twice the cusp count at level 2 is odd"):
+        modcurves._cover_profile(2, {2: 1})

@@ -139,14 +139,14 @@ def test_quarantine_tolerates_a_concurrent_quarantine(tmp_path, monkeypatch):
     bad = cache / "level_37.json"
     bad.write_text("{not json", encoding="utf-8")
     client = NewformClient(cache_dir=str(tmp_path))
-    quarantine = client._quarantine
+    quarantine = newforms_mod._quarantine
 
     def moved_away_first(path):
         # another process quarantines the same file just before this one does
         os.replace(path, path + ".corrupt")
         quarantine(path)
 
-    monkeypatch.setattr(client, "_quarantine", moved_away_first)
+    monkeypatch.setattr(newforms_mod, "_quarantine", moved_away_first)
     records = client.fetch_newforms(37, mode="offline")
     assert any(r.analytic_rank == 1 for r in records)
     assert not bad.exists()
@@ -440,7 +440,10 @@ def test_default_offline_scan_builds_no_client(monkeypatch):
 
 
 def test_cache_dir_setting_still_decides_the_default_offline_witness(tmp_path, monkeypatch):
+    # the offline scan reads CACHE_DIR alone and builds no client, so no other setting is parsed
     monkeypatch.setenv("CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("TIMEOUT_MS", "soon")
+    monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
     (tmp_path / "newforms").mkdir()
     _write_level(tmp_path / "newforms", 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
     built = _spy_on_client_construction(monkeypatch)
@@ -449,7 +452,83 @@ def test_cache_dir_setting_still_decides_the_default_offline_witness(tmp_path, m
     witness = certify(6 * 9001).witnesses[-1]
     assert (witness["level"], witness["label"], witness["data_source"]) == (9001, "9001.2.a.a", "cache")
     assert witness_minus_rank1(74)[0] == 37
-    assert len(built) == 3
+    assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
+    assert built == []
+    # the online scan builds the default client, which rejects the malformed setting
+    with pytest.raises(ValueError, match="invalid literal"):
+        witness_minus_rank1(74, mode="online")
+    assert len(built) == 1
+
+
+def test_offline_scan_with_a_client_reads_only_its_directories(tmp_path, monkeypatch):
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    _write_level(cache, 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("the offline scan went through the client")
+
+    for name in ("fetch_newforms", "available_offline_levels", "_lock_for", "_throttle"):
+        monkeypatch.setattr(NewformClient, name, refuse)
+    assert witness_minus_rank1(6 * 9001, client=client)[0] == 9001
+    assert certify(6 * 9001, newform_source=client).witnesses[-1]["data_source"] == "cache"
+
+
+def test_unknown_mode_is_rejected_on_entry(monkeypatch):
+    built = _spy_on_client_construction(monkeypatch)
+    # 10**40 + 1 keeps an unsplit cofactor, so no witness scan would read the mode
+    calls = (
+        lambda: witness_minus_rank1(74, mode="bogus"),
+        lambda: certify(37, mode="bogus"),
+        lambda: certify(10**40 + 1, mode="bogus"),
+        lambda: NewformClient().fetch_newforms(37, mode="bogus"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^mode must be 'online' or 'offline'$"):
+            call()
+    assert len(built) == 1
+
+
+def test_record_of_another_level_is_malformed_in_every_source(tmp_path, monkeypatch):
+    foreign = dict(_minus_rank1("11.2.a.a"), level=11)
+    message = "record 0 is of level 11, not 37"
+    # the cache quarantines the file and falls through to the bundled fixture
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    _write_level(cache, 37, [foreign], schema_version=1)
+    assert client.fetch_newforms(37, mode="offline") == NewformClient().fetch_newforms(37, mode="offline")
+    assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
+    _write_level(cache, 37, [foreign], schema_version=1)
+    assert witness_minus_rank1(370, client=client)[1].label == "37.2.a.a"
+    # a fixtures override and an online payload report malformed data
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    _write_level(fixtures, 37, [foreign])
+    client = NewformClient(fixtures_dir=str(fixtures))
+    with pytest.raises(PayloadError, match=message):
+        client.fetch_newforms(37, mode="offline")
+    with pytest.raises(WitnessIndeterminate, match="malformed data at level 37: " + message):
+        witness_minus_rank1(74, client=client)
+    online = NewformClient(fetch_json=lambda level: [foreign], rate_limit_per_sec=1e6)
+    with pytest.raises(PayloadError, match=message):
+        online.fetch_newforms(37, mode="online")
+    with pytest.raises(WitnessIndeterminate, match="malformed data at level 1: record 0 is of level 11, not 1"):
+        witness_minus_rank1(74, mode="online", client=online)
+
+
+def test_records_that_are_no_array_are_malformed(tmp_path, monkeypatch):
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    for payload in ([], {"schema_version": 1, "records": 5}):
+        (cache / "level_37.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert witness_minus_rank1(74, client=client)[1].source == "fixture"
+        assert (cache / "level_37.json.corrupt").exists() and not (cache / "level_37.json").exists()
+        (cache / "level_37.json.corrupt").unlink()
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "level_1.json").write_text(json.dumps({"records": 5}), encoding="utf-8")
+    with pytest.raises(WitnessIndeterminate, match="malformed data at level 1: records for level 1 are not a JSON array"):
+        witness_minus_rank1(74, client=NewformClient(fixtures_dir=str(fixtures)))
+    online = NewformClient(fetch_json=lambda level: {"records": []}, rate_limit_per_sec=1e6)
+    with pytest.raises(PayloadError, match="not a JSON array"):
+        online.fetch_newforms(37, mode="online")
 
 
 def test_malformed_bundled_level_makes_the_witness_indeterminate(tmp_path, monkeypatch):
@@ -515,12 +594,37 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path):
     assert entry.is_dir() and sorted(p.name for p in entry.parent.iterdir()) == ["level_37.json"]
 
 
-def test_stray_fixture_override_name_is_skipped(tmp_path):
-    (tmp_path / "level_abc.json").write_text("{}", encoding="utf-8")
-    _write_level(tmp_path, 37, [_minus_rank1("37.2.a.a")])
-    client = NewformClient(fixtures_dir=str(tmp_path))
+# only level_<M>.json with M >= 1 written as str(M) names a level
+STRAY_LEVEL_NAMES = ("level_abc.json", "level_0.json", "level_-2.json", "level_007.json", "level_1_0.json",
+                     "level_+5.json", "level_.json")
+
+
+def _write_stray_names(directory):
+    # each would be a witness at every level it were read for
+    for name in STRAY_LEVEL_NAMES:
+        payload = {"schema_version": 1, "records": [_minus_rank1("stray")]}
+        (directory / name).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def test_stray_fixture_override_name_is_skipped(tmp_path, monkeypatch):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    _write_stray_names(fixtures)
+    _write_level(fixtures, 37, [_minus_rank1("37.2.a.a")])
+    client = NewformClient(fixtures_dir=str(fixtures))
     assert client.available_offline_levels() == {37}
     assert witness_minus_rank1(74, client=client)[0] == 37
+    assert witness_minus_rank1(70, client=client) is None
+    # the same names in the cache directory, with and without a client
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    _write_stray_names(cache)
+    _write_level(cache, 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
+    assert client.available_offline_levels() == set(fixture_levels()) | {9001}
+    monkeypatch.setenv("CACHE_DIR", str(tmp_path))
+    for found in (witness_minus_rank1(2 * 9001, client=client), witness_minus_rank1(2 * 9001)):
+        assert (found[0], found[1].label) == (9001, "9001.2.a.a")
+    assert witness_minus_rank1(70, client=client) is None and witness_minus_rank1(70) is None
+    assert sorted(p.name for p in cache.iterdir()) == sorted(STRAY_LEVEL_NAMES + ("level_9001.json",))
 
 
 def test_bundled_cache_holds_snapshot_levels_only():

@@ -334,17 +334,6 @@ def test_ladder_rungs_equal_public_generators():
             assert type(g.m) is Fraction and g._four_nm == public._four_nm == g.m * 4 * level
 
 
-def test_ladder_rung_failing_the_congruence_raises():
-    mu = DiscElement(3, 1, 2)
-    # 4N*m = r2**2 - r1**2 = 3 mod 12
-    assert AmbientGenerator._rung(15, mu) == AmbientGenerator(Fraction(15, 12), mu)
-    with pytest.raises(ValueError) as public:
-        AmbientGenerator(Fraction(16, 12), mu)
-    with pytest.raises(ValueError) as rung:
-        AmbientGenerator._rung(16, mu)
-    assert str(rung.value) == str(public.value)
-
-
 def test_generator_congruence_matches_q_mod1():
     # the constructors check m = q(mu) mod 1 as an integer congruence on 4N*m
     for level in range(1, 5):
