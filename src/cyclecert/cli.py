@@ -233,6 +233,10 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS, help="path to a JSON config file")
+    # the newform source options of `newforms` and `certify`
+    source = argparse.ArgumentParser(add_help=False, parents=[common])
+    source.add_argument("--online", action="store_true")
+    source.add_argument("--fixtures", default=None, help="override the bundled fixture directory")
 
     parser = _Parser(prog="cyclecert", parents=[top])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -261,17 +265,13 @@ def build_parser() -> _Parser:
     p.add_argument("--curve", choices=("x0", "x0star", "xn"), default="x0")
     p.set_defaults(func=_cmd_genus)
 
-    p = sub.add_parser("newforms", parents=[common], help="newform records for a level")
+    p = sub.add_parser("newforms", parents=[source], help="newform records for a level")
     p.add_argument("M", type=int)
-    p.add_argument("--online", action="store_true")
-    p.add_argument("--fixtures", default=None, help="override the bundled fixture directory")
     p.set_defaults(func=_cmd_newforms)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[source],
                        help="nontriviality certificate for level N")
     p.add_argument("N", type=int)
-    p.add_argument("--online", action="store_true")
-    p.add_argument("--fixtures", default=None, help="override the bundled fixture directory")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("selftest", parents=[common],
@@ -308,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         payload, code = args.func(args)
-    except (ValueError, modcurves.LevelBoundError, newforms_mod.TransientFetchError,
-            newforms_mod.PayloadError, OSError) as exc:
+    # LevelBoundError and PayloadError are ValueErrors
+    except (ValueError, OSError, newforms_mod.TransientFetchError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_ERROR
     if args.format == "json":

@@ -1,12 +1,13 @@
 """Client for weight-2 newform analytic data: HTTP fetch, local cache, bundled fixtures.
 
 Records carry the level, an opaque label, the sign of the functional equation
-and the analytic rank; one normalization serves every source and rejects a
-record of another level than the one read.  The online path is rate limited,
-deduplicates concurrent requests for the same level, and writes the cache
-atomically.  The offline path is module functions of the cache and fixtures
-directories alone, with no lock: the cache, then the fixtures or the bundled
-snapshot, which is listed once per process and parsed per level on first use.
+and the analytic rank, and type-check their fields with no coercion; one
+normalization serves every source and rejects a record of another level than
+the one read.  The online path runs under one lock per client, one rate-limited
+fetch at a time, and writes the cache atomically, best effort.  The offline
+path is module functions of the cache and fixtures directories alone, with no
+lock: the cache, then the fixtures or the bundled snapshot, which is listed
+once per process and parsed per level on first use.
 Corrupt cache files are quarantined, never deleted.
 """
 
@@ -56,6 +57,11 @@ class NewformRecord(arith._Record):
     def __init__(
         self, level: int, label: str, weight: int, fricke_sign: int, analytic_rank: int, source: str
     ) -> None:
+        # type(), not isinstance(): a JSON true, 2.0 or "1" is no integer
+        if type(label) is not str:
+            raise ValueError("label must be a string")
+        if {type(level), type(weight), type(fricke_sign), type(analytic_rank)} != {int}:
+            raise ValueError("level, weight, fricke_sign and analytic_rank must be integers")
         if weight != 2:
             raise ValueError("only weight-2 records are supported")
         if fricke_sign not in (1, -1):
@@ -75,30 +81,24 @@ class NewformRecord(arith._Record):
 
 
 def _normalize_record(raw: object, level: int, source: str, index: int) -> NewformRecord:
-    # single normalization point: a database schema change touches only this
+    # single normalization point: a database schema change touches only this;
+    # the values pass through as read, and the record checks their types
     if not isinstance(raw, dict):
         raise PayloadError("record %d is not an object" % index, index)
     try:
-        label = str(raw["label"])
-        weight = int(raw.get("weight", 2))
-        sign = raw.get("fricke_sign", raw.get("root_number"))
-        rank = raw.get("analytic_rank", raw.get("rank"))
-        if sign is None or rank is None:
-            raise KeyError("fricke_sign/analytic_rank")
-        if int(raw.get("level", level)) != level:
-            raise PayloadError("record %d is of level %s, not %d" % (index, raw["level"], level), index)
-        return NewformRecord(
-            level=level,
-            label=label,
-            weight=weight,
-            fricke_sign=int(sign),
-            analytic_rank=int(rank),
+        record = NewformRecord(
+            level=raw.get("level", level),
+            label=raw["label"],
+            weight=raw.get("weight", 2),
+            fricke_sign=raw.get("fricke_sign", raw.get("root_number")),
+            analytic_rank=raw.get("analytic_rank", raw.get("rank")),
             source=source,
         )
-    except PayloadError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise PayloadError("record %d malformed: %s" % (index, exc), index) from exc
+    if record.level != level:
+        raise PayloadError("record %d is of level %d, not %d" % (index, record.level, level), index)
+    return record
 
 
 def _records(raws: object, level: int, source: str) -> list[NewformRecord]:
@@ -225,8 +225,9 @@ def _offline_levels(cache_dir: str | None, fixtures_dir: str | None) -> set[int]
 class NewformClient:
     """Fetches and caches newform records; safe to share across threads.
 
-    The settings are checked once, here, after the environment overrides:
-    a malformed one raises ValueError.
+    Online fetches run one at a time under one lock, which also guards the
+    memo, so a client fetches a level once.  The settings are checked once,
+    here, after the environment overrides: a malformed one raises ValueError.
     """
 
     def __init__(
@@ -257,10 +258,8 @@ class NewformClient:
         self._fetch_json = fetch_json or self._http_fetch_json
         self._monotonic = monotonic
         self._sleep = sleep
-        self._limiter_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._last_request = float("-inf")
-        self._level_locks: dict[int, threading.Lock] = {}
-        self._level_locks_guard = threading.Lock()
         self._memo: dict[int, list[NewformRecord]] = {}
 
     # -- transport ---------------------------------------------------------
@@ -281,15 +280,14 @@ class NewformClient:
             raise TransientFetchError(str(exc)) from exc
 
     def _throttle(self) -> None:
-        # serialize callers and enforce the requests-per-second ceiling
-        with self._limiter_lock:
-            interval = 1.0 / self.rate_limit_per_sec
+        # enforce the requests-per-second ceiling; called under the client's lock
+        interval = 1.0 / self.rate_limit_per_sec
+        now = self._monotonic()
+        wait = self._last_request + interval - now
+        if wait > 0:
+            self._sleep(wait)
             now = self._monotonic()
-            wait = self._last_request + interval - now
-            if wait > 0:
-                self._sleep(wait)
-                now = self._monotonic()
-            self._last_request = now
+        self._last_request = now
 
     # -- cache -------------------------------------------------------------
 
@@ -297,20 +295,24 @@ class NewformClient:
         if not self.cache_dir:
             return
         path = _cache_path(self.cache_dir, level)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "level": level,
             "records": [{name: getattr(r, name) for name in r._fields if name != "source"} for r in records],
         }
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=1)
-            os.replace(tmp, path)  # atomic on POSIX
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, sort_keys=True, indent=1)
+                os.replace(tmp, path)  # atomic on POSIX
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError:
+            # best effort: the fetched records are still served, just not cached
+            return
 
     # -- public API --------------------------------------------------------
 
@@ -320,29 +322,24 @@ class NewformClient:
     def fetch_newforms(self, level: int, mode: str = "offline") -> list[NewformRecord]:
         """Records for one level; sorted by label for determinism.
 
-        Online mode performs a rate-limited GET, normalizes the JSON array and
-        refreshes the cache.  Offline mode reads cache then fixtures, with no
-        lock, and returns an empty list when neither covers the level.
+        Online mode performs a rate-limited GET under the client's lock,
+        normalizes the JSON array and refreshes the cache, best effort.
+        Offline mode reads cache then fixtures, with no lock, and returns an
+        empty list when neither covers the level.
         """
-        if level < 1:
+        # the level is a record's default level, which must be an int
+        if type(level) is not int or level < 1:
             raise ValueError("level must be a positive integer")
         _check_mode(mode)
         if mode == "offline":
             return _read_offline(self.cache_dir, self.fixtures_dir, level)
-        with self._lock_for(level):
-            if level in self._memo:
-                return list(self._memo[level])
-            self._throttle()
-            records = _records(self._fetch_json(level), level, "online")
-            self._write_cache(level, records)
-            self._memo[level] = records
-            return list(records)
-
-    def _lock_for(self, level: int) -> threading.Lock:
-        with self._level_locks_guard:
-            if level not in self._level_locks:
-                self._level_locks[level] = threading.Lock()
-            return self._level_locks[level]
+        with self._lock:
+            if level not in self._memo:
+                self._throttle()
+                records = _records(self._fetch_json(level), level, "online")
+                self._write_cache(level, records)
+                self._memo[level] = records
+            return list(self._memo[level])
 
 
 def witness_minus_rank1(

@@ -136,10 +136,22 @@ def test_usage_error_exit_code(capsys):
     assert main(["pullback", "1", "--m0", "x", "--r", "0"]) == EXIT_USAGE
 
 
-def test_computation_error_exit_code(capsys):
+def test_computation_error_exit_code(tmp_path, capsys):
     # congruence-violating pullback input parses but fails validation
     assert main(["pullback", "1", "--m0", "1/2", "--r", "0"]) == EXIT_ERROR
     assert main(["lattice", "0"]) == EXIT_ERROR
+    capsys.readouterr()
+    # a LevelBoundError: two 13-digit primes, a product above the factoring bound
+    assert main(["genus", "1000000000100000000002379"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: level 1000000000100000000002379 has a composite factor")
+    # a PayloadError: a malformed fixture
+    (tmp_path / "level_37.json").write_text('{"records": [{"label": "37.2.a.a"}]}', encoding="utf-8")
+    assert main(["newforms", "37", "--fixtures", str(tmp_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: record 0 malformed")
 
 
 def test_text_format(capsys):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from math import prod
@@ -290,22 +291,84 @@ def test_rate_limiter_spaces_requests():
 
 
 def test_inflight_requests_deduplicated():
-    calls = []
+    calls, overlapped, active = [], [], []
 
     def fake(level):
         calls.append(level)
+        overlapped.append(bool(active))
+        active.append(level)
+        time.sleep(0.001)
+        active.remove(level)
+        return [_minus_rank1("%d.2.a.a" % level)]
+
+    client = NewformClient(fetch_json=fake, rate_limit_per_sec=1e6)
+    # more threads than cores, over two levels, switching as often as the interpreter allows
+    levels = [(37, 43)[i % 2] for i in range(min(2 * (os.cpu_count() or 1) + 2, 64))]
+    results = [None] * len(levels)
+
+    def fetch(i):
+        results[i] = client.fetch_newforms(levels[i], mode="online")
+
+    threads = [threading.Thread(target=fetch, args=(i,)) for i in range(len(levels))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == [37, 43] and overlapped == [False, False]
+    assert [[r.label for r in records] for records in results] == [["%d.2.a.a" % m] for m in levels]
+
+
+def test_failed_fetch_releases_the_lock_and_memoizes_nothing():
+    calls = []
+
+    def flaky(level):
+        calls.append(level)
+        if len(calls) == 1:
+            raise TransientFetchError("down")
+        return [_minus_rank1("37.2.a.a")]
+
+    client = NewformClient(fetch_json=flaky, rate_limit_per_sec=1e6)
+    with pytest.raises(TransientFetchError):
+        client.fetch_newforms(37, mode="online")
+    assert not client._lock.locked()
+    assert [r.label for r in client.fetch_newforms(37, mode="online")] == ["37.2.a.a"]
+    assert client.fetch_newforms(37, mode="online") == client.fetch_newforms(37, mode="online")
+    assert calls == [37, 37]
+
+
+def test_fetches_of_two_levels_run_one_at_a_time():
+    calls, overlapped, active = [], [], []
+    second = threading.Event()
+
+    def fake(level):
+        calls.append(level)
+        overlapped.append(bool(active))
+        active.append(level)
+        if len(calls) == 1:
+            # long enough for the other thread to start a fetch, were it let in
+            second.wait(timeout=0.3)
+        else:
+            second.set()
+        active.remove(level)
         return []
 
     client = NewformClient(fetch_json=fake, rate_limit_per_sec=1e6)
     threads = [
-        threading.Thread(target=client.fetch_newforms, args=(37,), kwargs={"mode": "online"})
-        for _ in range(4)
+        threading.Thread(target=client.fetch_newforms, args=(level,), kwargs={"mode": "online"})
+        for level in (5, 7)
     ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert calls == [37]
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == [5, 7] and overlapped == [False, False]
 
 
 def test_env_overrides(monkeypatch, tmp_path):
@@ -404,7 +467,7 @@ def test_bundled_scan_reads_parsed_records_in_label_order(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise RuntimeError("the bundled scan went through the client")
 
-    for name in ("fetch_newforms", "available_offline_levels", "_lock_for"):
+    for name in ("fetch_newforms", "available_offline_levels"):
         monkeypatch.setattr(NewformClient, name, refuse)
     assert witness_minus_rank1(74)[0] == 37
     assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
@@ -467,7 +530,7 @@ def test_offline_scan_with_a_client_reads_only_its_directories(tmp_path, monkeyp
     def refuse(self, *args, **kwargs):
         raise RuntimeError("the offline scan went through the client")
 
-    for name in ("fetch_newforms", "available_offline_levels", "_lock_for", "_throttle"):
+    for name in ("fetch_newforms", "available_offline_levels", "_throttle"):
         monkeypatch.setattr(NewformClient, name, refuse)
     assert witness_minus_rank1(6 * 9001, client=client)[0] == 9001
     assert certify(6 * 9001, newform_source=client).witnesses[-1]["data_source"] == "cache"
@@ -511,6 +574,51 @@ def test_record_of_another_level_is_malformed_in_every_source(tmp_path, monkeypa
     with pytest.raises(PayloadError, match=message):
         online.fetch_newforms(37, mode="online")
     with pytest.raises(WitnessIndeterminate, match="malformed data at level 1: record 0 is of level 11, not 1"):
+        witness_minus_rank1(74, mode="online", client=online)
+
+
+@pytest.mark.parametrize("level", [0, -37, 37.0, True, "37"])
+def test_fetch_takes_a_positive_int_level(level):
+    online = NewformClient(fetch_json=lambda level: [_minus_rank1("37.2.a.a")], rate_limit_per_sec=1e6)
+    for mode in ("offline", "online"):
+        with pytest.raises(ValueError, match="^level must be a positive integer$"):
+            online.fetch_newforms(level, mode=mode)
+
+
+# each was served as a valid rank-1 witness when the values were coerced with int() and str()
+MISTYPED_RECORDS = {
+    "coerced_floats_and_true": {"label": "37.2.a.z", "level": 37.9, "weight": 2.5, "fricke_sign": -1.2,
+                                "analytic_rank": True},
+    "float_level": dict(_minus_rank1("37.2.a.z"), level=37.9),
+    "true_rank": dict(_minus_rank1("37.2.a.z"), analytic_rank=True),
+    "string_sign_and_rank": dict(_minus_rank1("37.2.a.z"), fricke_sign="-1", analytic_rank="1"),
+    "string_level": dict(_minus_rank1("37.2.a.z"), level="37"),
+    "numeric_label": _minus_rank1(37),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISTYPED_RECORDS))
+def test_mistyped_record_is_malformed_in_every_source(tmp_path, monkeypatch, kind):
+    raw = MISTYPED_RECORDS[kind]
+    # the cache quarantines the file and falls through to the bundled fixture
+    client, cache = _cache_client(tmp_path, monkeypatch)
+    _write_level(cache, 37, [raw], schema_version=1)
+    level, record = witness_minus_rank1(74, client=client)
+    assert (level, record.label, record.source) == (37, "37.2.a.a", "fixture")
+    assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
+    # a fixtures override and an online payload report malformed data
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    _write_level(fixtures, 37, [raw])
+    client = NewformClient(fixtures_dir=str(fixtures))
+    with pytest.raises(PayloadError, match="record 0 malformed"):
+        client.fetch_newforms(37, mode="offline")
+    with pytest.raises(WitnessIndeterminate, match="malformed data at level 37"):
+        witness_minus_rank1(74, client=client)
+    online = NewformClient(fetch_json=lambda level: [raw] if level == 37 else [], rate_limit_per_sec=1e6)
+    with pytest.raises(PayloadError, match="record 0 malformed"):
+        online.fetch_newforms(37, mode="online")
+    with pytest.raises(WitnessIndeterminate, match="malformed data at level 37"):
         witness_minus_rank1(74, mode="online", client=online)
 
 
@@ -625,6 +733,32 @@ def test_stray_fixture_override_name_is_skipped(tmp_path, monkeypatch):
         assert (found[0], found[1].label) == (9001, "9001.2.a.a")
     assert witness_minus_rank1(70, client=client) is None and witness_minus_rank1(70) is None
     assert sorted(p.name for p in cache.iterdir()) == sorted(STRAY_LEVEL_NAMES + ("level_9001.json",))
+
+
+@pytest.mark.parametrize("blocker", ["cache_dir_is_a_file", "cache_entry_is_a_directory"])
+def test_failed_cache_write_still_serves_the_records(tmp_path, blocker):
+    if blocker == "cache_dir_is_a_file":
+        cache_dir = tmp_path / "cache"
+        cache_dir.write_text("not a directory", encoding="utf-8")
+    else:
+        cache_dir = tmp_path
+        (tmp_path / "newforms" / "level_37.json").mkdir(parents=True)
+    calls = []
+
+    def fake(level):
+        calls.append(level)
+        return [_minus_rank1("37.2.a.a")] if level == 37 else []
+
+    client = NewformClient(cache_dir=str(cache_dir), fetch_json=fake, rate_limit_per_sec=1e6)
+    assert [r.label for r in client.fetch_newforms(37, mode="online")] == ["37.2.a.a"]
+    assert [r.source for r in client.fetch_newforms(37, mode="online")] == ["online"]
+    assert calls == [37]
+    leftovers = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert leftovers == (["cache"] if blocker == "cache_dir_is_a_file" else ["newforms", "newforms/level_37.json"])
+    assert witness_minus_rank1(74, mode="online", client=client)[0] == 37
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.rglob("*"))
+    empty = NewformClient(cache_dir=str(cache_dir), fetch_json=lambda level: [], rate_limit_per_sec=1e6)
+    assert certify(35, newform_source=empty, mode="online").verdict == "unknown"
 
 
 def test_bundled_cache_holds_snapshot_levels_only():

@@ -151,6 +151,9 @@ def test_ambient_generator_congruence_message_is_pinned():
         (lambda: CurveProfile("x", 1, 1, 0, 0, 1, 5), "genus inconsistent"),
         (lambda: NewformRecord(11, "a", 4, 1, 0, "fixture"), "only weight-2"),
         (lambda: NewformRecord(11, "a", 2, 1, 1, "fixture"), "parity inconsistent .* for a"),
+        (lambda: NewformRecord(11, "a", 2, -1, True, "fixture"), "fricke_sign and analytic_rank must be integers"),
+        (lambda: NewformRecord(11, "a", 2.0, 1, 0, "fixture"), "weight, fricke_sign and .* must be integers"),
+        (lambda: NewformRecord(11, 11, 2, 1, 0, "fixture"), "label must be a string"),
         (lambda: Certificate(5, "proven_nontrivial", "none", (), None, ""), "verdict and clause"),
         (lambda: DivisorClass(0), "level must be a positive integer"),
         (lambda: AmbientGenerator(Fraction(-1), DiscElement(1, 0, 0)), "m must be nonnegative"),
