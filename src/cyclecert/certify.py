@@ -34,22 +34,25 @@ _PROFILE_MAX_LEVEL = 60
 
 
 class Certificate(_Record):
+    """The clause that fired for a level, with its witnesses, profile and justification.
+
+    The verdict follows from the clause: "unknown" when it is "none", and
+    "proven_nontrivial" otherwise.
+    """
+
     _fields = ("level", "verdict", "clause", "witnesses", "curve_profile", "justification")
 
     def __init__(
         self,
         level: int,
-        verdict: str,
         clause: str,
         witnesses: tuple[dict, ...],
         curve_profile: CurveProfile | None,
         justification: str,
     ) -> None:
-        if (verdict == VERDICT_PROVEN) != (clause != CLAUSE_NONE):
-            raise ValueError("verdict and clause are inconsistent")
         self.__dict__.update(
             level=level,
-            verdict=verdict,
+            verdict=VERDICT_UNKNOWN if clause == CLAUSE_NONE else VERDICT_PROVEN,
             clause=clause,
             witnesses=witnesses,
             curve_profile=curve_profile,
@@ -90,7 +93,7 @@ def certify(
             % len(str(cofactor))
         )
 
-    fired: list[tuple[str, dict]] = []
+    fired: list[dict] = []
 
     # A1: a listed prime divisor, else a named prime divisor above 71.  Above
     # the bound an unsplit cofactor hides a large prime divisor that cannot be
@@ -99,16 +102,16 @@ def certify(
     if a1_witness is None:
         a1_witness = next((p for p in known if p > LARGE_PRIME_FLOOR), None)
     if a1_witness is not None:
-        fired.append((CLAUSE_A1, {"clause": CLAUSE_A1, "prime": a1_witness}))
+        fired.append({"clause": CLAUSE_A1, "prime": a1_witness})
 
     # A2: a square prime divisor at least 11, from the known factorization
     a2_witness = next((p for p, e in known.items() if p >= 11 and e >= 2), None)
     if a2_witness is not None:
-        fired.append((CLAUSE_A2, {"clause": CLAUSE_A2, "prime": a2_witness}))
+        fired.append({"clause": CLAUSE_A2, "prime": a2_witness})
 
     # B: explicit size bound
     if n > bound:
-        fired.append((CLAUSE_B, {"clause": CLAUSE_B, "bound": str(bound)}))
+        fired.append({"clause": CLAUSE_B, "bound": str(bound)})
 
     # analytic: odd-sign rank-one newform at a divisor level
     try:
@@ -118,23 +121,17 @@ def certify(
         if hit is not None:
             level, record = hit
             fired.append(
-                (
-                    CLAUSE_ANALYTIC,
-                    {
-                        "clause": CLAUSE_ANALYTIC,
-                        "level": level,
-                        "label": record.label,
-                        "analytic_rank": record.analytic_rank,
-                        "fricke_sign": record.fricke_sign,
-                        "data_source": record.source,
-                    },
-                )
+                {
+                    "clause": CLAUSE_ANALYTIC,
+                    "level": level,
+                    "label": record.label,
+                    "analytic_rank": record.analytic_rank,
+                    "fricke_sign": record.fricke_sign,
+                    "data_source": record.source,
+                }
             )
     except WitnessIndeterminate as exc:
         notes.append("analytic clause not evaluated: %s" % exc)
-
-    clause = fired[0][0] if fired else CLAUSE_NONE
-    verdict = VERDICT_PROVEN if fired else VERDICT_UNKNOWN
 
     profile: CurveProfile | None = None
     if n <= _PROFILE_MAX_LEVEL:
@@ -142,15 +139,13 @@ def certify(
     else:
         notes.append("curve profile omitted: level beyond the enumeration guard")
 
-    cert = Certificate(
+    return Certificate(
         level=n,
-        verdict=verdict,
-        clause=clause,
-        witnesses=tuple(w for (_, w) in fired),
+        clause=fired[0]["clause"] if fired else CLAUSE_NONE,
+        witnesses=tuple(fired),
         curve_profile=profile,
-        justification=_justification(n, verdict, clause, fired, notes),
+        justification=_justification(n, fired, notes),
     )
-    return cert
 
 
 _CLAUSE_TEXT = {
@@ -173,19 +168,19 @@ _CLAUSE_TEXT = {
 }
 
 
-def _justification(n, verdict, clause, fired, notes) -> str:
+def _justification(n, fired, notes) -> str:
     parts = []
-    if verdict == VERDICT_PROVEN:
+    if fired:
         parts.append(
             "Level %d: the modified diagonal cycle in the triple product and the "
             "Ceresa cycle in the Jacobian are of infinite order in the rational "
             "Chow groups, for every choice of basepoint." % n
         )
-        parts.append("Criterion: %s." % _CLAUSE_TEXT[clause])
+        parts.append("Criterion: %s." % _CLAUSE_TEXT[fired[0]["clause"]])
         if len(fired) > 1:
             parts.append(
                 "Additional criteria also fired: %s."
-                % ", ".join(w["clause"] for (_, w) in fired[1:])
+                % ", ".join(w["clause"] for w in fired[1:])
             )
         parts.append(
             "Basepoint independence: the group is torsion-free, the cusp class "
@@ -193,7 +188,7 @@ def _justification(n, verdict, clause, fired, notes) -> str:
             "moves the cycle class within a complementary summand of the "
             "intermediate Jacobian, so it cannot cancel the nonzero part."
         )
-        if clause == CLAUSE_ANALYTIC or any(c == CLAUSE_ANALYTIC for c, _ in fired):
+        if any(w["clause"] == CLAUSE_ANALYTIC for w in fired):
             parts.append(
                 "Analytic-rank values are taken from the newform database snapshot "
                 "and carry its trust boundary; the sign convention equates odd "

@@ -176,16 +176,16 @@ class HeegnerIndex(_Record):
 
 
 class HeegnerDivisor(_Record):
+    """Classes of a Heegner divisor with their weights, and its degree, the weights' sum.
+
+    `self_paired` is the index's `self_paired()`.  The degree is given, not
+    summed here: the enumeration adds the weights as integer sixths.
+    """
+
     _fields = ("index", "classes", "degree", "self_paired")
 
-    def __init__(
-        self,
-        index: HeegnerIndex,
-        classes: tuple[tuple[BQForm, Fraction], ...],
-        degree: Fraction,
-        self_paired: bool,
-    ) -> None:
-        self.__dict__.update(index=index, classes=classes, degree=degree, self_paired=self_paired)
+    def __init__(self, index: HeegnerIndex, classes: tuple[tuple[BQForm, Fraction], ...], degree: Fraction) -> None:
+        self.__dict__.update(index=index, classes=classes, degree=degree, self_paired=index.self_paired())
 
 
 def _p1_canon(p: int, q: int, n: int) -> tuple[int, int]:
@@ -297,7 +297,7 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
         fields["a"], fields["b"], fields["c"] = a, b, c
         classes.append((form, _WEIGHTS[w]))
         total += w
-    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=Fraction(total, 6), self_paired=idx.self_paired())
+    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=Fraction(total, 6))
 
 
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:

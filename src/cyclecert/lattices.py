@@ -11,9 +11,9 @@ Bases are pinned once and for all so Gram matrices are bit-stable:
 In these bases the Gram matrices are the orthogonal sums <-2N> + H and
 <-2N> + H + <2N>, H the hyperbolic plane, so their Smith normal forms are
 (1, 1, 2N) and (1, 1, 2N, 2N): the discriminant groups are Z/2N and
-(Z/2N)**2, of orders 2N and (2N)**2.  A `GramLattice` accepts only one of
-the two pinned matrices, with its signature, so these closed forms always
-describe its Gram matrix.  Everything is integer arithmetic; no floats.
+(Z/2N)**2, of orders 2N and (2N)**2.  A `GramLattice` is given by its rank
+and level alone; its Gram matrix and signature follow from them, so these
+closed forms always describe it.  Everything is integer arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -26,31 +26,31 @@ Matrix = tuple[tuple[int, ...], ...]
 _SIGNATURES = {3: (1, 2), 4: (2, 2)}
 
 
-def _pinned_gram(level: int, rank: int) -> Matrix | None:
-    """Gram matrix of the pinned level-N basis of rank 3 or 4; None at any other rank."""
+def _pinned_gram(level: int, rank: int) -> Matrix:
+    """Gram matrix of the pinned level-N basis of rank 3 or 4."""
     n = level
     trace_zero = ((-2 * n, 0, 0), (0, 0, 1), (0, 1, 0))
     if rank == 3:
         return trace_zero
-    if rank == 4:
-        # the scalar-line block is (2N) since (a*I, a*I) = 2*N*a**2
-        return tuple(row + (0,) for row in trace_zero) + ((0, 0, 0, 2 * n),)
-    return None
+    # the scalar-line block is (2N) since (a*I, a*I) = 2*N*a**2
+    return tuple(row + (0,) for row in trace_zero) + ((0, 0, 0, 2 * n),)
 
 
 class GramLattice(_Record):
-    """One of the two pinned level-N lattices, given by its Gram matrix."""
+    """One of the two pinned level-N lattices, of rank 3 or 4.
+
+    The Gram matrix and signature are those of the pinned basis, worked out
+    from the rank and level.
+    """
 
     _fields = ("rank", "gram", "signature", "level")
 
-    def __init__(self, rank: int, gram: Matrix, signature: tuple[int, int], level: int) -> None:
+    def __init__(self, rank: int, level: int) -> None:
         if level < 1:
             raise ValueError("level must be a positive integer")
-        if gram != _pinned_gram(level, rank) or signature != _SIGNATURES.get(rank):
-            raise ValueError(
-                "gram matrix and signature must be the pinned level-%d ones of rank 3 or 4" % level
-            )
-        self.__dict__.update(rank=rank, gram=gram, signature=signature, level=level)
+        if rank not in _SIGNATURES:
+            raise ValueError("rank must be 3 or 4")
+        self.__dict__.update(rank=rank, gram=_pinned_gram(level, rank), signature=_SIGNATURES[rank], level=level)
 
     def disc_group_order(self) -> int:
         """Order of dual/lattice quotient, |det(gram)| = (2N)**(rank - 2)."""
@@ -67,7 +67,7 @@ def trace_zero_lattice(level: int) -> GramLattice:
     In the pinned basis the Gram matrix is [[-2N, 0, 0], [0, 0, 1], [0, 1, 0]];
     its discriminant group is cyclic of order 2N.
     """
-    return GramLattice(rank=3, gram=_pinned_gram(level, 3), signature=_SIGNATURES[3], level=level)
+    return GramLattice(3, level)
 
 
 def full_matrix_lattice(level: int) -> GramLattice:
@@ -75,7 +75,7 @@ def full_matrix_lattice(level: int) -> GramLattice:
 
     The discriminant group has order (2N)**2.
     """
-    return GramLattice(rank=4, gram=_pinned_gram(level, 4), signature=_SIGNATURES[4], level=level)
+    return GramLattice(4, level)
 
 
 class DiscElement(_Record):

@@ -35,11 +35,16 @@ def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
 
 
 class CurveProfile(arith._Record):
+    """Index, elliptic-point and cusp counts of a modular curve, and the genus they give.
+
+    The genus comes from the Riemann-Hurwitz formula; counts that give no
+    nonnegative integer genus raise ValueError.
+    """
+
     _fields = ("label", "level", "index", "nu2", "nu3", "cusps", "genus")
 
-    def __init__(self, label: str, level: int, index: int, nu2: int, nu3: int, cusps: int, genus: int) -> None:
-        if _genus(index, nu2, nu3, cusps) != genus:
-            raise ValueError("genus inconsistent with index/elliptic/cusp data")
+    def __init__(self, label: str, level: int, index: int, nu2: int, nu3: int, cusps: int) -> None:
+        genus = _genus(index, nu2, nu3, cusps)
         self.__dict__.update(label=label, level=level, index=index, nu2=nu2, nu3=nu3, cusps=cusps, genus=genus)
 
 
@@ -56,7 +61,7 @@ def x0_profile(level: int) -> CurveProfile:
     # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
     # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
     cusps = prod(sum(_phi_power(p, min(i, e - i)) for i in range(e + 1)) for p, e in factors.items())
-    return CurveProfile("x0", n, index, nu2, nu3, cusps, _genus(index, nu2, nu3, cusps))
+    return CurveProfile("x0", n, index, nu2, nu3, cusps)
 
 
 @functools.lru_cache(maxsize=256)
@@ -94,7 +99,7 @@ def _cover_profile(level: int, factors: dict[int, int]) -> CurveProfile:
         cusps, odd = divmod(twice, 2)
         if odd:
             raise RuntimeError("twice the cusp count at level %d is odd" % level)
-    return CurveProfile("xn", level, index, 0, 0, cusps, _genus(index, 0, 0, cusps))
+    return CurveProfile("xn", level, index, 0, 0, cusps)
 
 
 def fricke_quotient_genus(p: int) -> int:

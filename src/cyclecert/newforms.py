@@ -62,6 +62,8 @@ class NewformRecord(arith._Record):
             raise ValueError("label must be a string")
         if {type(level), type(weight), type(fricke_sign), type(analytic_rank)} != {int}:
             raise ValueError("level, weight, fricke_sign and analytic_rank must be integers")
+        if level < 1:
+            raise ValueError("level must be a positive integer")
         if weight != 2:
             raise ValueError("only weight-2 records are supported")
         if fricke_sign not in (1, -1):

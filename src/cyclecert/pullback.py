@@ -37,14 +37,12 @@ class DivisorClass(_Record):
     `cusp_ambiguous` means the cusp coefficient is a representative only,
     defined up to an undetermined integer.  Construction validates every key
     with a nonzero coefficient; sums and multiples of classes reuse their
-    operands' keys without checking them again.  Unlike the other records a
-    class is mutable, and so unhashable.
+    operands' keys without checking them again.  A class is frozen like the
+    other records, but it holds a dict, so it is unhashable.
     """
 
     _fields = ("level", "heeg_coeffs", "omega_coeff", "cusp_coeff", "cusp_ambiguous")
     __hash__ = None  # type: ignore[assignment]
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __init__(
         self,
@@ -143,20 +141,18 @@ class AmbientGenerator(_Record):
 
 
 class PullbackDecomposition(_Record):
-    """Coefficients on ambient generators realizing a Heegner divisor as a pullback."""
+    """Coefficients on ambient generators realizing a Heegner divisor as a pullback.
+
+    `residual_cusp_ambiguous` is always True: the cusp coefficient of a
+    pullback is defined only up to an integer, so the decomposition leaves the
+    cusp part undetermined, and the round trip compares Heegner coefficients
+    alone.
+    """
 
     _fields = ("level", "target", "terms", "residual_cusp_ambiguous")
 
-    def __init__(
-        self,
-        level: int,
-        target: HeegKey,
-        terms: tuple[tuple[AmbientGenerator, Fraction], ...],
-        residual_cusp_ambiguous: bool = True,
-    ) -> None:
-        self.__dict__.update(
-            level=level, target=target, terms=terms, residual_cusp_ambiguous=residual_cusp_ambiguous
-        )
+    def __init__(self, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction], ...]) -> None:
+        self.__dict__.update(level=level, target=target, terms=terms, residual_cusp_ambiguous=True)
 
     def coefficient(self, gen: AmbientGenerator) -> Fraction:
         for g, c in self.terms:
@@ -282,12 +278,7 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
         lam0 = -sum(coeffs[top - t * t] for t in range(1, isqrt(top) + 1))
         if lam0:
             terms.append((AmbientGenerator(Fraction(0), mu), Fraction(lam0)))
-    return PullbackDecomposition(
-        level=n,
-        target=(Fraction(four_nm, four_n), r1),
-        terms=tuple(terms),
-        residual_cusp_ambiguous=True,
-    )
+    return PullbackDecomposition(level=n, target=(Fraction(four_nm, four_n), r1), terms=tuple(terms))
 
 
 def _sum_pullbacks(

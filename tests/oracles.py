@@ -640,7 +640,7 @@ def heegner_divisor_by_coset_scan(idx):
             classes.append((base.transformed(selected[min(orbit)]), weight))
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
     degree = sum((w for (_, w) in classes), Fraction(0))
-    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree, self_paired=idx.self_paired())
+    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree)
 
 
 def reduced_forms_by_walk(n: int):
@@ -738,9 +738,7 @@ def heegner_divisor_by_local_kernels(idx):
             classes.append((form, _WEIGHT_OF_SIXTHS[sixths]))
             total_sixths += sixths
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
-    return HeegnerDivisor(
-        index=idx, classes=tuple(classes), degree=Fraction(total_sixths, 6), self_paired=idx.self_paired()
-    )
+    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=Fraction(total_sixths, 6))
 
 
 _AUTS_BY_SIXTHS = {3: _AUT_FOUR, 2: _AUT_SIX}

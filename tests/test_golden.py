@@ -55,7 +55,8 @@ GROUPS = {
     "genus_x0star": (["genus", "2", "--curve", "x0star"], lambda: ({"N": p} for p in _primes(2000))),
     "heegner": (["heegner", "1", "-3"], _heegner_cases),
     "pullback": (["pullback", "1", "--m0", "1/4", "--r", "1"], _pullback_cases),
-    "certify": (["certify", "1"], lambda: ({"N": n} for n in range(1, 301))),
+    "certify": (["certify", "1"], lambda: ({"N": n} for n in range(1, 2001))),
+    "lattice": (["lattice", "1"], lambda: ({"N": n} for n in range(1, 1001))),
 }
 
 

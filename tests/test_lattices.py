@@ -74,28 +74,13 @@ def test_snf_divisibility_chain():
                 assert b % a == 0
 
 
-def test_gram_lattice_accepts_only_the_pinned_matrices():
-    for n in (1, 2, 7):
-        for lat in (trace_zero_lattice(n), full_matrix_lattice(n)):
-            assert GramLattice(lat.rank, lat.gram, lat.signature, n) == lat
-            others = (
-                trace_zero_lattice(n + 1).gram,
-                full_matrix_lattice(n + 1).gram,
-                ((2 * n, 0, 0), (0, 0, 1), (0, 1, 0)),
-                ((-2 * n, 0, 0), (0, 0, 1), (0, 0, 0)),
-                ((-2 * n, 0, 0), (0, 0, 1), (0, 2, 0)),
-                ((1,),),
-                (),
-            )
-            for gram in others:
-                for rank in (1, 3, 4, 5):
-                    with pytest.raises(ValueError, match="pinned"):
-                        GramLattice(rank, gram, lat.signature, n)
-            with pytest.raises(ValueError, match="pinned"):
-                GramLattice(5, lat.gram, lat.signature, n)
-            for signature in ((lat.rank, 0), (0, lat.rank), (2, 1)):
-                with pytest.raises(ValueError, match="pinned"):
-                    GramLattice(lat.rank, lat.gram, signature, n)
+def test_gram_lattice_is_determined_by_rank_and_level():
+    for n in range(1, 51):
+        assert GramLattice(3, n) == trace_zero_lattice(n)
+        assert GramLattice(4, n) == full_matrix_lattice(n)
+        for rank in (0, 1, 2, 5):
+            with pytest.raises(ValueError, match="rank must be 3 or 4"):
+                GramLattice(rank, n)
 
 
 def test_signatures_match_exact_diagonalization():

@@ -272,7 +272,7 @@ def _tampered(dec):
         terms[:i] + [(gen_i, c_i + Fraction(1, 3))] + terms[i + 1 :],
         terms + [(zero, Fraction(1))],
     ):
-        yield PullbackDecomposition(dec.level, dec.target, tuple(changed), dec.residual_cusp_ambiguous)
+        yield PullbackDecomposition(dec.level, dec.target, tuple(changed))
 
 
 def _typed(residual):
@@ -296,7 +296,7 @@ def test_round_trip_validates_and_reduces_the_target():
     dec = decompose_heegner(1, Fraction(3, 4), 1)
 
     def with_target(target):
-        return PullbackDecomposition(dec.level, target, dec.terms, dec.residual_cusp_ambiguous)
+        return PullbackDecomposition(dec.level, target, dec.terms)
 
     # r1 = 3 is r1 = 1 mod 2N, so the target is the one the terms realize
     assert verify_decomposition(with_target((Fraction(3, 4), 3))) == {}
@@ -310,9 +310,7 @@ def test_round_trip_validates_and_reduces_the_target():
 
 def test_round_trip_rejects_mixed_levels_like_the_oracle():
     dec = decompose_heegner(2, 1, 0)
-    mixed = PullbackDecomposition(
-        dec.level, dec.target, dec.terms + ((gen(1, 1, 0), Fraction(1)),), dec.residual_cusp_ambiguous
-    )
+    mixed = PullbackDecomposition(dec.level, dec.target, dec.terms + ((gen(1, 1, 0), Fraction(1)),))
     for round_trip in (verify_decomposition, round_trip_by_divisor_class):
         with pytest.raises(ValueError, match="different levels"):
             round_trip(mixed)
@@ -323,7 +321,7 @@ def test_round_trip_subtracts_a_target_the_terms_miss():
     assert verify_decomposition(dec) == round_trip_by_divisor_class(dec) == {(Fraction(2, 3), 2): -1}
     for round_trip in (verify_decomposition, round_trip_by_divisor_class):
         with pytest.raises(ValueError, match="positive"):
-            round_trip(PullbackDecomposition(0, dec.target, dec.terms, dec.residual_cusp_ambiguous))
+            round_trip(PullbackDecomposition(0, dec.target, dec.terms))
 
 
 def test_ladder_rungs_equal_public_generators():

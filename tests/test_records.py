@@ -12,6 +12,7 @@ from cyclecert import (
     DiscElement,
     DivisorClass,
     GramLattice,
+    HeegnerDivisor,
     HeegnerIndex,
     NewformRecord,
     PullbackDecomposition,
@@ -21,6 +22,7 @@ from cyclecert import (
     x0_profile,
 )
 from cyclecert.arith import _Record
+from cyclecert.certify import CLAUSE_A1, CLAUSE_A2, CLAUSE_ANALYTIC, CLAUSE_B, CLAUSE_NONE
 
 # (factory building a fresh record, its literal repr); the repr names every field in order
 RECORDS = [
@@ -42,7 +44,7 @@ RECORDS = [
         "NewformRecord(level=11, label='11.2.a.a', weight=2, fricke_sign=1, analytic_rank=0, source='fixture')",
     ),
     (
-        lambda: Certificate(5, "unknown", "none", (), None, "why"),
+        lambda: Certificate(5, "none", (), None, "why"),
         "Certificate(level=5, verdict='unknown', clause='none', witnesses=(), curve_profile=None, "
         "justification='why')",
     ),
@@ -62,8 +64,9 @@ RECORDS = [
     ),
 ]
 IDS = [expected.split("(", 1)[0] for _, expected in RECORDS]
-FROZEN = [(make, expected) for make, expected in RECORDS if not expected.startswith("DivisorClass(")]
-FROZEN_IDS = [i for i in IDS if i != "DivisorClass"]
+# a DivisorClass holds a dict, so it is frozen but unhashable
+HASHABLE = [(make, expected) for make, expected in RECORDS if not expected.startswith("DivisorClass(")]
+HASHABLE_IDS = [i for i in IDS if i != "DivisorClass"]
 
 
 def _values(record):
@@ -96,14 +99,14 @@ def test_fields_live_in_the_instance_dict(make, expected):
     assert set(vars(record)) == set(record._fields) | extra
 
 
-@pytest.mark.parametrize("make,expected", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("make,expected", HASHABLE, ids=HASHABLE_IDS)
 def test_frozen_records_hash_on_their_fields(make, expected):
     one, two = make(), make()
     assert hash(one) == hash(two) == hash(_values(one))
     assert len({one, two}) == 1
 
 
-@pytest.mark.parametrize("make,expected", FROZEN, ids=FROZEN_IDS)
+@pytest.mark.parametrize("make,expected", RECORDS, ids=IDS)
 def test_frozen_records_refuse_assignment_and_deletion(make, expected):
     record = make()
     for name in record._fields:
@@ -117,12 +120,24 @@ def test_frozen_records_refuse_assignment_and_deletion(make, expected):
         record.other = 1
 
 
-def test_divisor_class_is_mutable_and_unhashable():
-    d = DivisorClass(1, {(Fraction(3, 4), 1): 2})
+def test_divisor_class_is_unhashable():
     with pytest.raises(TypeError, match="unhashable"):
-        hash(d)
-    d.cusp_ambiguous = True
-    assert d.cusp_ambiguous is True
+        hash(DivisorClass(1, {(Fraction(3, 4), 1): 2}))
+
+
+@pytest.mark.parametrize("clause", [CLAUSE_A1, CLAUSE_A2, CLAUSE_B, CLAUSE_ANALYTIC, CLAUSE_NONE])
+def test_certificate_verdict_follows_from_the_clause(clause):
+    cert = Certificate(5, clause, (), None, "")
+    assert (cert.clause, cert.verdict) == (clause, "unknown" if clause == CLAUSE_NONE else "proven_nontrivial")
+
+
+def test_heegner_divisor_takes_self_paired_from_its_index():
+    for idx, paired in (
+        (HeegnerIndex(1, -4, 0), True),
+        (HeegnerIndex(2, -4, 2), True),
+        (HeegnerIndex(2, -23, 1), False),
+    ):
+        assert HeegnerDivisor(idx, (), Fraction(0)).self_paired is paired is idx.self_paired()
 
 
 def test_defaults_are_kept():
@@ -147,15 +162,16 @@ def test_ambient_generator_congruence_message_is_pinned():
         (lambda: HeegnerIndex(5, -5, 0), "disc must be 0 or 1 mod 4"),
         (lambda: HeegnerIndex(5, -4, 1), "r\\*\\*2 must be disc mod 4N"),
         (lambda: DiscElement(0, 1, 1), "level must be a positive integer"),
-        (lambda: GramLattice(3, ((1,),), (1, 2), 2), "pinned level-2 ones of rank 3 or 4"),
-        (lambda: CurveProfile("x", 1, 1, 0, 0, 1, 5), "genus inconsistent"),
+        (lambda: GramLattice(5, 2), "rank must be 3 or 4"),
+        (lambda: CurveProfile("x", 1, 1, 0, 0, 2), "genus inconsistent"),
         (lambda: NewformRecord(11, "a", 4, 1, 0, "fixture"), "only weight-2"),
         (lambda: NewformRecord(11, "a", 2, 1, 1, "fixture"), "parity inconsistent .* for a"),
         (lambda: NewformRecord(11, "a", 2, -1, True, "fixture"), "fricke_sign and analytic_rank must be integers"),
         (lambda: NewformRecord(11, "a", 2.0, 1, 0, "fixture"), "weight, fricke_sign and .* must be integers"),
         (lambda: NewformRecord(11, 11, 2, 1, 0, "fixture"), "label must be a string"),
-        (lambda: Certificate(5, "proven_nontrivial", "none", (), None, ""), "verdict and clause"),
         (lambda: DivisorClass(0), "level must be a positive integer"),
+        (lambda: NewformRecord(0, "a", 2, 1, 0, "fixture"), "level must be a positive integer"),
+        (lambda: NewformRecord(-5, "x", 2, 1, 0, "fixture"), "level must be a positive integer"),
         (lambda: AmbientGenerator(Fraction(-1), DiscElement(1, 0, 0)), "m must be nonnegative"),
     ],
 )
