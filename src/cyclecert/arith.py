@@ -188,10 +188,14 @@ def divisors(factors: dict[int, int]) -> list[int]:
 class _Record:
     """Base of the value records: equality, hash and repr over the fields in `_fields`.
 
-    A subclass names its fields in `_fields` and fills them in `__init__` with
-    one `self.__dict__.update(...)`.  Records compare equal only to records of
-    the same class, and assigning or deleting an attribute afterwards raises
-    AttributeError.
+    A subclass names its fields in `_fields` and fills them in `__init__`
+    through `self.__dict__`, since assignment is refused.  Records built from
+    values already checked skip `__init__`: the pullback round trip's through
+    each class's one trusted classmethod `_from_valid`, the Heegner
+    enumeration's `BQForm`s inline; either way the fields are stored straight
+    into the fresh instance's `__dict__`.  Records compare equal only to
+    records of the same class, and assigning or deleting an attribute
+    afterwards raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()

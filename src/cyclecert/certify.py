@@ -26,6 +26,7 @@ CLAUSE_A2 = "A2_prime_square"
 CLAUSE_B = "B_bound"
 CLAUSE_ANALYTIC = "analytic_witness"
 CLAUSE_NONE = "none"
+_CLAUSES = (CLAUSE_A1, CLAUSE_A2, CLAUSE_B, CLAUSE_ANALYTIC, CLAUSE_NONE)
 
 # certificates carry the curve profile up to level 60 only, and the note above
 # it keeps its wording; raising the cutoff or rewording the note would change
@@ -36,7 +37,8 @@ _PROFILE_MAX_LEVEL = 60
 class Certificate(_Record):
     """The clause that fired for a level, with its witnesses, profile and justification.
 
-    The verdict follows from the clause: "unknown" when it is "none", and
+    The clause is one of the five `CLAUSE_*` values, else ValueError.  The
+    verdict follows from it: "unknown" when it is "none", and
     "proven_nontrivial" otherwise.
     """
 
@@ -50,6 +52,8 @@ class Certificate(_Record):
         curve_profile: CurveProfile | None,
         justification: str,
     ) -> None:
+        if clause not in _CLAUSES:
+            raise ValueError("clause must be one of %s, not %r" % (", ".join(_CLAUSES), clause))
         self.__dict__.update(
             level=level,
             verdict=VERDICT_UNKNOWN if clause == CLAUSE_NONE else VERDICT_PROVEN,

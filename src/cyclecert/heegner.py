@@ -53,19 +53,19 @@ class BQForm(_Record):
 
 
 def _reduced_triples(n: int) -> list[tuple[int, int, int]]:
-    # (a, b, c) of every reduced form of discriminant -n, sorted; the one walk behind
-    # reduced_forms, both class numbers and the enumeration
+    # (a, b, c) of every reduced form of discriminant -n, in walk order; the one walk behind
+    # reduced_forms (which sorts it), both class numbers and the enumeration (which sorts its result)
     out = []
     if n % 4 in (1, 2):
         return out
     for b in range(n % 2, isqrt(n // 3) + 1, 2):
         m = (b * b + n) // 4
         for a in range(b or 1, isqrt(m) + 1):
-            if m % a == 0:
-                out.append((a, b, m // a))
-                if 0 < b < a < m // a:
-                    out.append((a, -b, m // a))
-    out.sort()
+            if not m % a:
+                c = m // a
+                out.append((a, b, c))
+                if 0 < b < a < c:
+                    out.append((a, -b, c))
     return out
 
 
@@ -77,7 +77,7 @@ def reduced_forms(n: int) -> tuple[BQForm, ...]:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return tuple(BQForm(a, b, c) for a, b, c in _reduced_triples(n))
+    return tuple(BQForm(a, b, c) for a, b, c in sorted(_reduced_triples(n)))
 
 
 def _weight_sixths(a: int, b: int, c: int) -> int:
@@ -98,10 +98,21 @@ def hurwitz_class_number(n: int) -> Fraction:
     """Hurwitz class number H(n): weighted count of all form classes of discriminant -n.
 
     Zero when -n is not a discriminant (n = 1 or 2 mod 4).  Rejects n <= 0.
+    The weights are closed-form (Hirzebruch and Zagier, Invent. Math. 36,
+    1976): among the reduced forms of discriminant -n only [k, 0, k], present
+    exactly when n = 4k**2, weighs 1/2, and only [k, k, k], present exactly
+    when n = 3k**2, weighs 1/3.  So 6*H(n) is six times the number of
+    reduced forms, less 3 when n = 4k**2 and less 4 when n = 3k**2, and no
+    form is weighed one by one.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    return Fraction(sum(_weight_sixths(*t) for t in _reduced_triples(n)), 6)
+    sixths = 6 * len(_reduced_triples(n))
+    if n % 4 == 0 and isqrt(n // 4) ** 2 * 4 == n:
+        sixths -= 3
+    if n % 3 == 0 and isqrt(n // 3) ** 2 * 3 == n:
+        sixths -= 4
+    return Fraction(sixths, 6)
 
 
 def class_number(n: int) -> int:
@@ -154,12 +165,12 @@ def heegner_r_values(level: int, disc: int) -> list[int]:
 
 
 class HeegnerIndex(_Record):
-    """Index (N, D, r) of a Heegner divisor: D < 0 a discriminant, r**2 = D mod 4N."""
+    """Index (N, D, r) of a Heegner divisor: N >= 1 an `int`, D < 0 a discriminant, r**2 = D mod 4N."""
 
     _fields = ("level", "disc", "r")
 
     def __init__(self, level: int, disc: int, r: int) -> None:
-        if level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError("level must be a positive integer")
         if disc >= 0:
             raise ValueError("disc must be negative")
@@ -169,6 +180,14 @@ class HeegnerIndex(_Record):
         if (r * r - disc) % (4 * level) != 0:
             raise ValueError("r**2 must be disc mod 4N")
         self.__dict__.update(level=level, disc=disc, r=r)
+
+    @classmethod
+    def _from_valid(cls, level: int, disc: int, r: int) -> "HeegnerIndex":
+        # an index already checked, with r reduced mod 2N: three stores into the fresh __dict__
+        out = cls.__new__(cls)
+        fields = out.__dict__
+        fields["level"], fields["disc"], fields["r"] = level, disc, r
+        return out
 
     def self_paired(self) -> bool:
         """True when r = -r mod 2N, so the paired divisor is 2x a single one."""
@@ -303,12 +322,13 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
     """Heegner index (D, r) = (-4N*m0, r1 mod 2N) of the special divisor at (m0, r1).
 
-    Requires m0 > 0 and m0 = -r1**2/4N mod 1 (else CongruenceError), both
-    checked in integers on m0's numerator and denominator.  Every key that
-    passes indexes a Heegner divisor, built unchecked: the congruence says
-    r1**2 = D mod 4N, so D = 0 or 1 mod 4, and D < 0.
+    Requires an `int` level N >= 1, m0 > 0 and m0 = -r1**2/4N mod 1 (else
+    CongruenceError), the last two checked in integers on m0's numerator and
+    denominator.  Every key that passes indexes a Heegner divisor, built
+    unchecked: the congruence says r1**2 = D mod 4N, so D = 0 or 1 mod 4,
+    and D < 0.
     """
-    if level < 1:
+    if type(level) is not int or level < 1:
         raise ValueError("level must be a positive integer")
     if type(m0) not in (int, Fraction):
         m0 = Fraction(m0)
@@ -321,6 +341,4 @@ def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerInd
         raise CongruenceError(
             "m0 = %s violates m0 = -r1**2/(4N) mod 1 for r1 = %d at level %d" % (m0, r1, level)
         )
-    idx = HeegnerIndex.__new__(HeegnerIndex)
-    idx.__dict__.update(level=level, disc=-scaled, r=r1)
-    return idx
+    return HeegnerIndex._from_valid(level, -scaled, r1)

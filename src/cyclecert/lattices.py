@@ -40,15 +40,15 @@ class GramLattice(_Record):
     """One of the two pinned level-N lattices, of rank 3 or 4.
 
     The Gram matrix and signature are those of the pinned basis, worked out
-    from the rank and level.
+    from the rank and level, both `int`s.
     """
 
     _fields = ("rank", "gram", "signature", "level")
 
     def __init__(self, rank: int, level: int) -> None:
-        if level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError("level must be a positive integer")
-        if rank not in _SIGNATURES:
+        if type(rank) is not int or rank not in _SIGNATURES:
             raise ValueError("rank must be 3 or 4")
         self.__dict__.update(rank=rank, gram=_pinned_gram(level, rank), signature=_SIGNATURES[rank], level=level)
 
@@ -90,10 +90,11 @@ class DiscElement(_Record):
     _fields = ("level", "r1", "r2")
 
     def __init__(self, level: int, r1: int, r2: int) -> None:
-        if level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError("level must be a positive integer")
         m = 2 * level
-        self.__dict__.update(level=level, r1=r1 % m, r2=r2 % m)
+        fields = self.__dict__
+        fields["level"], fields["r1"], fields["r2"] = level, r1 % m, r2 % m
 
     def is_zero(self) -> bool:
         return self.r1 == 0 and self.r2 == 0

@@ -7,9 +7,12 @@ this algebra with a cusp coefficient that is only defined up to an integer;
 that ambiguity is carried as a flag and never guessed, and all round-trip
 comparisons are on Heegner coefficients alone.
 
-Keys are validated once, where they enter: `decompose_heegner`,
-`apply_decomposition` and `verify_decomposition` check their target,
-`DivisorClass` and `AmbientGenerator` check what they are given.  Inside, a
+Keys are validated once, where they enter: `decompose_heegner` checks its
+target, and `PullbackDecomposition`, `DivisorClass` and `AmbientGenerator`
+check what they are given.  A decomposition keeps its target's
+`HeegnerIndex`, so `apply_decomposition`, `verify_decomposition` and
+`chow_heegner_divisor` check nothing again, and a decompose, verify and
+chow round takes one `special_divisor_index` call.  Inside, a
 ladder rung differs from its valid target by a multiple of N in m, so it
 keeps the congruence m = q(mu) mod 1 and is built unchecked, and pullbacks
 are summed per r1 on the integer keys 4N*m0, visiting s and -s once where
@@ -24,11 +27,14 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import _Record
-from .heegner import hurwitz_class_number, special_divisor_index
+from .heegner import HeegnerIndex, hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
 
 HeegKey = tuple[Fraction, int]
+
+# Fractions are immutable, so the round trip shares these two instead of building them per call
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class DivisorClass(_Record):
@@ -80,8 +86,9 @@ class DivisorClass(_Record):
     ) -> "DivisorClass":
         # keys already validated and normalized, coefficients nonzero Fractions
         out = cls.__new__(cls)
-        out.__dict__.update(level=level, heeg_coeffs=heeg_coeffs, omega_coeff=omega_coeff,
-                            cusp_coeff=cusp_coeff, cusp_ambiguous=cusp_ambiguous)
+        fields = out.__dict__
+        fields["level"], fields["heeg_coeffs"], fields["omega_coeff"] = level, heeg_coeffs, omega_coeff
+        fields["cusp_coeff"], fields["cusp_ambiguous"] = cusp_coeff, cusp_ambiguous
         return out
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -135,6 +142,14 @@ class AmbientGenerator(_Record):
             raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (m, mu))
         self.__dict__.update(m=m, mu=mu, _four_nm=four_nm.numerator)
 
+    @classmethod
+    def _from_valid(cls, m: Fraction, mu: DiscElement, four_nm: int) -> "AmbientGenerator":
+        # m = four_nm/4N already keeps m = q(mu) mod 1: three stores into the fresh __dict__
+        out = cls.__new__(cls)
+        fields = out.__dict__
+        fields["m"], fields["mu"], fields["_four_nm"] = m, mu, four_nm
+        return out
+
     @property
     def level(self) -> int:
         return self.mu.level
@@ -143,16 +158,32 @@ class AmbientGenerator(_Record):
 class PullbackDecomposition(_Record):
     """Coefficients on ambient generators realizing a Heegner divisor as a pullback.
 
-    `residual_cusp_ambiguous` is always True: the cusp coefficient of a
-    pullback is defined only up to an integer, so the decomposition leaves the
-    cusp part undetermined, and the round trip compares Heegner coefficients
-    alone.
+    The target (m0, r1) is checked when the decomposition is built, as
+    `special_divisor_index` checks it, and a bad one raises there.  The
+    resulting `HeegnerIndex` is kept beside the fields, out of equality,
+    hashing and repr, and the round trip and `chow_heegner_divisor` read it
+    instead of checking the target again.  `residual_cusp_ambiguous` is
+    always True: the cusp coefficient of a pullback is defined only up to an
+    integer, so the decomposition leaves the cusp part undetermined, and the
+    round trip compares Heegner coefficients alone.
     """
 
     _fields = ("level", "target", "terms", "residual_cusp_ambiguous")
 
     def __init__(self, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction], ...]) -> None:
-        self.__dict__.update(level=level, target=target, terms=terms, residual_cusp_ambiguous=True)
+        index = special_divisor_index(level, *target)
+        self.__dict__.update(level=level, target=target, terms=terms, residual_cusp_ambiguous=True, _index=index)
+
+    @classmethod
+    def _from_valid(
+        cls, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction], ...], index: HeegnerIndex
+    ) -> "PullbackDecomposition":
+        # index is special_divisor_index(level, *target), already taken
+        out = cls.__new__(cls)
+        fields = out.__dict__
+        fields["level"], fields["target"], fields["terms"] = level, target, terms
+        fields["residual_cusp_ambiguous"], fields["_index"] = True, index
+        return out
 
     def coefficient(self, gen: AmbientGenerator) -> Fraction:
         for g, c in self.terms:
@@ -175,7 +206,7 @@ def _add_pullback(gen: AmbientGenerator, coeff: int | Fraction, heeg: dict[int, 
     if four_nm == 0:
         return -2 * coeff if gen.mu.is_zero() else 0
     r1, r2 = gen.mu.r1, gen.mu.r2
-    two_n = 2 * gen.level
+    two_n = 2 * gen.mu.level
     smax = isqrt(four_nm)
     omega = 0
     weight, stop = (coeff, smax + 1) if (2 * r2) % two_n else (2 * coeff, 0)
@@ -200,7 +231,7 @@ def _divisor_class(
     level: int, by_r1: dict[int, dict[int, int | Fraction]], omega: int | Fraction, ambiguous: bool
 ) -> DivisorClass:
     # the keys are valid by construction and r1 is reduced, so the trusted constructor takes them
-    return DivisorClass._from_valid(level, _heeg_fractions(level, by_r1), Fraction(omega), Fraction(0), ambiguous)
+    return DivisorClass._from_valid(level, _heeg_fractions(level, by_r1), Fraction(omega), _ZERO, ambiguous)
 
 
 def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
@@ -251,10 +282,11 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     1/theta(q^N): the i-th coefficient of 1/theta(q) at j = N*i, and zero
     (no rung) elsewhere.  The Z*(0, 0) coefficient is chosen so the Omega
     parts cancel, and the cusp part stays ambiguous.  The target key is
-    validated once, on entry; the rungs are built in one loop from their
-    integers 4N*m = 4N*m0 - 4N**2*j, which keep the target's congruence
-    4N*m + r1**2 = 0 mod 4N, so none is checked again.  The round trip
-    through `verify_decomposition` is linear in the number of pullback
+    validated once, on entry, and its index goes to the decomposition, which
+    is built without checking it again; the rungs are built in one loop from
+    their integers 4N*m = 4N*m0 - 4N**2*j, which keep the target's
+    congruence 4N*m + r1**2 = 0 mod 4N, so none is checked again.  The round
+    trip through `verify_decomposition` is linear in the number of pullback
     terms it sums.
     """
     idx = special_divisor_index(level, m0, r1)
@@ -262,23 +294,20 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     four_n = 4 * n
     step = four_n * n  # the drop in 4N*m from one rung to the next
     coeffs = _inverse_theta(-(-four_nm // step))
-    mu = DiscElement(level=n, r1=r1, r2=0)
-    new = AmbientGenerator.__new__
-    terms: list[tuple[AmbientGenerator, Fraction]] = []
-    for i, c in enumerate(coeffs):
-        # 4N*m = 4N*m0 - 4N**2*i keeps the target's congruence, so the fields are set unchecked
-        k = four_nm - step * i
-        rung = new(AmbientGenerator)
-        rung.__dict__.update(m=Fraction(k, four_n), mu=mu, _four_nm=k)
-        terms.append((rung, Fraction(c)))
+    mu = DiscElement(n, r1, 0)
+    new_gen = AmbientGenerator._from_valid
+    terms = [(new_gen(Fraction(k, four_n), mu, k), Fraction(c))
+             for k, c in zip(range(four_nm, 0, -step), coeffs)]
     if r1 == 0 and four_nm % step == 0:
         # each rung m = N*t**2 pulls back with -2*Omega per unit coefficient,
         # and Z*(0, 0) pulls back to -2*Omega; such rungs exist only when N | m0
         top = four_nm // step
         lam0 = -sum(coeffs[top - t * t] for t in range(1, isqrt(top) + 1))
         if lam0:
-            terms.append((AmbientGenerator(Fraction(0), mu), Fraction(lam0)))
-    return PullbackDecomposition(level=n, target=(Fraction(four_nm, four_n), r1), terms=tuple(terms))
+            # Z*(0, 0), here mu = (0, 0), keeps m = q(mu) mod 1 at m = 0
+            terms.append((new_gen(_ZERO, mu, 0), Fraction(lam0)))
+    # the first rung is Z*(m0, (r1, 0)), so its m is the target's m0
+    return PullbackDecomposition._from_valid(n, (terms[0][0].m, r1), tuple(terms), idx)
 
 
 def _sum_pullbacks(
@@ -288,10 +317,11 @@ def _sum_pullbacks(
     by_r1: dict[int, dict[int, int | Fraction]] = {}
     omega: int | Fraction = 0
     ambiguous = False
+    level = decomp.level
     for gen, coeff in decomp.terms:
-        if gen.level != decomp.level:
+        if gen.mu.level != level:
             raise ValueError("cannot add classes at different levels")
-        if not isinstance(coeff, Fraction):
+        if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
         heeg = by_r1.setdefault(gen.mu.r1, {})
         omega += _add_pullback(gen, coeff.numerator if coeff.denominator == 1 else coeff, heeg)
@@ -300,11 +330,7 @@ def _sum_pullbacks(
 
 
 def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
-    """Pull back every generator in the decomposition and sum with its coefficients.
-
-    The decomposition's level and target are validated once, on entry.
-    """
-    special_divisor_index(decomp.level, *decomp.target)
+    """Pull back every generator in the decomposition and sum with its coefficients."""
     heeg, omega, ambiguous = _sum_pullbacks(decomp)
     return _divisor_class(decomp.level, heeg, omega, ambiguous)
 
@@ -312,16 +338,16 @@ def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
 def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fraction]:
     """Residual of the round trip on Heegner coefficients; empty means exact.
 
-    The target is validated and reduced once, to r1 mod 2N and the integer
-    4N*m0.  The pulled-back terms are summed per r1 on such integers, and
-    the target is subtracted there.  The summed keys need no check: every
+    The target was validated when the decomposition was built, and its kept
+    index gives r1 mod 2N and the integer 4N*m0.  The pulled-back terms are
+    summed per r1 on such integers, and the target is subtracted there.  The summed keys need no check: every
     generator was validated when it was built, and each splitting of a valid
     generator lands on a valid key.  `Fraction` keys and values are built only
     for the entries returned.  Omega and cusp coefficients are excluded from
     the comparison: the cusp coefficient of a pullback is undetermined, and
     the two classes are proportional on the curves in question.
     """
-    idx = special_divisor_index(decomp.level, *decomp.target)
+    idx = decomp._index
     by_r1, _, _ = _sum_pullbacks(decomp)
     heeg = by_r1.setdefault(idx.r, {})
     heeg[-idx.disc] = heeg.get(-idx.disc, 0) - 1
@@ -339,11 +365,13 @@ def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorCl
     """
     if level != decomp.level:
         raise ValueError("level %d differs from the decomposition's level %d" % (level, decomp.level))
-    idx = special_divisor_index(level, *decomp.target)
+    idx = decomp._index
+    h = hurwitz_class_number(-idx.disc)
+    m0 = decomp.target[0]  # valid, so equal to -D/4N
     return DivisorClass._from_valid(
         level,
-        {(Fraction(-idx.disc, 4 * level), idx.r): Fraction(1)},
-        Fraction(0),
-        hurwitz_class_number(-idx.disc) * (-2 * cover_degree_over_x0(level)),
+        {(m0 if type(m0) is Fraction else Fraction(m0), idx.r): _ONE},
+        _ZERO,
+        Fraction(-2 * cover_degree_over_x0(level) * h.numerator, h.denominator),
         False,
     )

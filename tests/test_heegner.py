@@ -205,10 +205,10 @@ def test_r_values_above_the_factoring_bound_raise_level_bound_error():
 
 
 def test_eichler_relation_twelfths_match_the_fraction_sum(monkeypatch):
-    # class numbers from an independent walk of every reduced form with |D| <= 8000,
-    # so that the check costs the sums and not 8000 uncached class numbers
+    # class numbers from an independent walk of every reduced form with |D| <= 8000, each
+    # form weighed by its shape; the library's closed-form weights must match every one
     table = hurwitz_table_by_forms(8000)
-    assert table[1:1001] == [hurwitz_class_number(m) for m in range(1, 1001)]
+    assert table[1:8001] == [hurwitz_class_number(m) for m in range(1, 8001)]
     monkeypatch.setattr(heegner, "hurwitz_class_number", table.__getitem__)
     for n in range(1, 2001):
         sides = eichler_relation_sides(n)
@@ -332,6 +332,14 @@ def test_special_divisor_congruence_mismatch_is_an_error():
         special_divisor_index(1, Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         special_divisor_index(1, 0, 0)
+
+
+def test_special_divisor_index_takes_only_an_int_level():
+    # 2.0 passes every congruence at level 2 and would give float fields
+    assert special_divisor_index(2, Fraction(7, 8), 1) == HeegnerIndex(2, -7, 1)
+    for level in (2.0, Fraction(2), True):
+        with pytest.raises(ValueError, match="level must be a positive integer"):
+            special_divisor_index(level, Fraction(7, 8), 1)
 
 
 def test_bqform_transform_preserves_discriminant():

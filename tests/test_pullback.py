@@ -197,7 +197,27 @@ def test_round_trip_validates_only_the_surviving_key(monkeypatch):
     monkeypatch.setattr(pullback_mod, "special_divisor_index", counted)
     dec = decompose_heegner(1, 300, 0)
     assert verify_decomposition(dec) == {}
-    assert calls == [(1, 300, 0), (1, Fraction(300), 0)]
+    assert apply_decomposition(dec).omega_coeff == 0
+    assert chow_heegner_divisor(1, dec).heeg_coeffs == {(Fraction(300), 0): 1}
+    # the decomposition keeps the index its target was validated to; the round reads it
+    assert calls == [(1, 300, 0)]
+
+
+def test_a_hand_built_decomposition_checks_its_target_when_built():
+    dec = decompose_heegner(3, Fraction(2, 3), 2)
+    # r1 = -4 is r1 = 2 mod 2N: the target is kept as given, its index reduced
+    same = PullbackDecomposition(3, (Fraction(2, 3), -4), dec.terms)
+    assert same.target == (Fraction(2, 3), -4) and same._index == dec._index
+    for target, error in (
+        ((Fraction(1, 3), 2), CongruenceError),
+        ((Fraction(2, 3), 1), CongruenceError),
+        ((Fraction(-1, 3), 2), ValueError),
+        ((Fraction(0), 0), ValueError),
+    ):
+        with pytest.raises(error):
+            PullbackDecomposition(3, target, dec.terms)
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        PullbackDecomposition(3.0, (Fraction(2, 3), 2), dec.terms)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5, 6, 7, 11, 30])
@@ -377,9 +397,9 @@ def test_pullback_keys_are_validated_once_at_the_boundary(monkeypatch):
     monkeypatch.setattr(pullback_mod, "special_divisor_index", counted)
     assert pullback_divisor(gen(1, 200, 0, 0)) == d
     assert calls == []
-    # the decomposition's target, once
+    # the decomposition's target was checked when it was built, so applying it checks nothing
     assert apply_decomposition(dec).heeg_coeffs == {(Fraction(200), 0): 1}
-    assert calls == [(1, Fraction(200), 0)]
+    assert calls == []
 
 
 def test_level_one_pullbacks_give_the_hurwitz_kronecker_relation():
