@@ -3,9 +3,11 @@
 Every certificate criterion is read off the factorization of N, so this is the
 one module that factors.  `factor` is complete for every N up to the size
 bound of the certificate; above it, where the bound clause already decides,
-a composite piece may be returned unsplit as the cofactor.  Code that needs
-the complete factorization calls `_level_factors`, the one place where a
-level below 1 is refused and an unsplit cofactor becomes a LevelBoundError.
+a composite piece may be returned unsplit as the cofactor.  `_check_level` is
+the one level rule: every entry that takes a level N calls it, directly or
+through `_level_factors`, and it refuses anything but an `int` (not a `bool`)
+of at least 1.  Code that needs the complete factorization calls
+`_level_factors`, where an unsplit cofactor becomes a LevelBoundError.
 `_Record`, the base of the package's value records, lives here because every
 other module imports this one.
 """
@@ -159,10 +161,15 @@ class LevelBoundError(ValueError):
     """
 
 
-def _level_factors(n: int) -> dict[int, int]:
-    """The complete factorization of a level n >= 1, or LevelBoundError naming n; ValueError below 1."""
-    if n < 1:
+def _check_level(level: int) -> None:
+    """The one level rule: an `int`, not a `bool`, of at least 1; anything else raises ValueError."""
+    if type(level) is not int or level < 1:
         raise ValueError("level must be a positive integer")
+
+
+def _level_factors(n: int) -> dict[int, int]:
+    """The complete factorization of a level n, or LevelBoundError naming n; ValueError for no level."""
+    _check_level(n)
     factors, cofactor = factor(n)
     if cofactor > 1:
         raise LevelBoundError(

@@ -9,7 +9,7 @@ triviality; the criteria are sufficient, not necessary.
 
 from __future__ import annotations
 
-from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, _Record, factor, large_level_bound
+from .arith import LARGE_PRIME_FLOOR, LISTED_PRIMES, _check_level, _Record, factor, large_level_bound
 from .modcurves import CurveProfile, _cover_profile
 from .newforms import (
     NewformClient,
@@ -85,8 +85,7 @@ def certify(
     unavailable or failing newform source degrades the analytic clause to
     "not evaluated"; it never fails the call.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    _check_level(n)
     _check_mode(mode)
     bound = large_level_bound()
     known, cofactor = factor(n)

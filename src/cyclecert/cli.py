@@ -89,14 +89,10 @@ def _heegner_block(idx: heegner_mod.HeegnerIndex) -> dict:
 def _cmd_heegner(args) -> tuple[dict, int]:
     rs = heegner_mod.heegner_r_values(args.N, args.D)
     out = {"kind": "heegner", "level": args.N, "disc": args.D, "r_values": rs}
-    if args.r is not None:
-        idx = heegner_mod.HeegnerIndex(level=args.N, disc=args.D, r=args.r)
-        out["divisors"] = [_heegner_block(idx)]
-    else:
-        out["divisors"] = [
-            _heegner_block(heegner_mod.HeegnerIndex(level=args.N, disc=args.D, r=r))
-            for r in rs
-        ]
+    out["divisors"] = [
+        _heegner_block(heegner_mod.HeegnerIndex(level=args.N, disc=args.D, r=r))
+        for r in ([args.r] if args.r is not None else rs)
+    ]
     return out, EXIT_OK
 
 

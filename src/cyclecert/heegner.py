@@ -23,7 +23,7 @@ import functools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import _level_factors, _Record
+from .arith import _check_level, _level_factors, _Record
 
 
 class CongruenceError(ValueError):
@@ -165,13 +165,14 @@ def heegner_r_values(level: int, disc: int) -> list[int]:
 
 
 class HeegnerIndex(_Record):
-    """Index (N, D, r) of a Heegner divisor: N >= 1 an `int`, D < 0 a discriminant, r**2 = D mod 4N."""
+    """Index (N, D, r) of a Heegner divisor: a level N, D < 0 a discriminant, r**2 = D mod 4N, all `int`s."""
 
     _fields = ("level", "disc", "r")
 
     def __init__(self, level: int, disc: int, r: int) -> None:
-        if type(level) is not int or level < 1:
-            raise ValueError("level must be a positive integer")
+        _check_level(level)
+        if type(disc) is not int or type(r) is not int:
+            raise ValueError("disc and r must be integers")
         if disc >= 0:
             raise ValueError("disc must be negative")
         if disc % 4 in (2, 3):
@@ -322,14 +323,15 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
     """Heegner index (D, r) = (-4N*m0, r1 mod 2N) of the special divisor at (m0, r1).
 
-    Requires an `int` level N >= 1, m0 > 0 and m0 = -r1**2/4N mod 1 (else
-    CongruenceError), the last two checked in integers on m0's numerator and
-    denominator.  Every key that passes indexes a Heegner divisor, built
-    unchecked: the congruence says r1**2 = D mod 4N, so D = 0 or 1 mod 4,
-    and D < 0.
+    Requires a level N (see `arith._check_level`), an `int` r1, m0 > 0 and
+    m0 = -r1**2/4N mod 1 (else CongruenceError), the last two checked in
+    integers on m0's numerator and denominator.  Every key that passes
+    indexes a Heegner divisor, built unchecked: the congruence says
+    r1**2 = D mod 4N, so D = 0 or 1 mod 4, and D < 0.
     """
-    if type(level) is not int or level < 1:
-        raise ValueError("level must be a positive integer")
+    _check_level(level)
+    if type(r1) is not int:
+        raise ValueError("r1 must be an integer")
     if type(m0) not in (int, Fraction):
         m0 = Fraction(m0)
     if m0.numerator <= 0:

@@ -18,7 +18,7 @@ closed forms always describe it.  Everything is integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from .arith import _Record
+from .arith import _check_level, _Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -46,8 +46,7 @@ class GramLattice(_Record):
     _fields = ("rank", "gram", "signature", "level")
 
     def __init__(self, rank: int, level: int) -> None:
-        if type(level) is not int or level < 1:
-            raise ValueError("level must be a positive integer")
+        _check_level(level)
         if type(rank) is not int or rank not in _SIGNATURES:
             raise ValueError("rank must be 3 or 4")
         self.__dict__.update(rank=rank, gram=_pinned_gram(level, rank), signature=_SIGNATURES[rank], level=level)
@@ -90,8 +89,9 @@ class DiscElement(_Record):
     _fields = ("level", "r1", "r2")
 
     def __init__(self, level: int, r1: int, r2: int) -> None:
-        if type(level) is not int or level < 1:
-            raise ValueError("level must be a positive integer")
+        _check_level(level)
+        if type(r1) is not int or type(r2) is not int:
+            raise ValueError("r1 and r2 must be integers")
         m = 2 * level
         fields = self.__dict__
         fields["level"], fields["r1"], fields["r2"] = level, r1 % m, r2 % m

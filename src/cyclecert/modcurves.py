@@ -107,8 +107,10 @@ def fricke_quotient_genus(p: int) -> int:
 
     Riemann-Hurwitz with the classical fixed-point count: nu = h(-4p) for
     p = 1 mod 4 and h(-4p) + h(-p) for p = 3 mod 4, p > 3; the levels 2 and 3
-    are genus 0 outright.
+    are genus 0 outright.  A p that is no level fails the level rule
+    (`arith._check_level`), and a composite level raises ValueError after it.
     """
+    arith._check_level(p)
     if not arith.is_prime(p):
         raise ValueError("p must be prime")
     if p in (2, 3):
@@ -127,11 +129,11 @@ def minus_newspace_dim(p: int) -> int:
     """Dimension of the weight-2 newspace with odd functional equation at prime level.
 
     At prime level this equals the genus of the Fricke quotient, since the
-    differentials downstairs pull back to exactly the invariant forms.
-    Composite levels are rejected; they are served by the newform client.
+    differentials downstairs pull back to exactly the invariant forms, so it
+    is `fricke_quotient_genus(p)` with that function's checks: the level
+    rule, then ValueError at a composite level, which is served by the
+    newform client instead.
     """
-    if not arith.is_prime(p):
-        raise ValueError("level must be prime; composite levels go through the newform database")
     return fricke_quotient_genus(p)
 
 

@@ -60,10 +60,9 @@ class NewformRecord(arith._Record):
         # type(), not isinstance(): a JSON true, 2.0 or "1" is no integer
         if type(label) is not str:
             raise ValueError("label must be a string")
-        if {type(level), type(weight), type(fricke_sign), type(analytic_rank)} != {int}:
-            raise ValueError("level, weight, fricke_sign and analytic_rank must be integers")
-        if level < 1:
-            raise ValueError("level must be a positive integer")
+        arith._check_level(level)
+        if {type(weight), type(fricke_sign), type(analytic_rank)} != {int}:
+            raise ValueError("weight, fricke_sign and analytic_rank must be integers")
         if weight != 2:
             raise ValueError("only weight-2 records are supported")
         if fricke_sign not in (1, -1):
@@ -330,8 +329,7 @@ class NewformClient:
         empty list when neither covers the level.
         """
         # the level is a record's default level, which must be an int
-        if type(level) is not int or level < 1:
-            raise ValueError("level must be a positive integer")
+        arith._check_level(level)
         _check_mode(mode)
         if mode == "offline":
             return _read_offline(self.cache_dir, self.fixtures_dir, level)
@@ -362,10 +360,10 @@ def witness_minus_rank1(
     mode builds the default NewformClient when given none, and scans every
     divisor of n, from a complete factorization.  Fetch failures and
     malformed data raise WitnessIndeterminate, which is distinct from a
-    definite None.
+    definite None.  n is a level, so anything but an `int` (not a `bool`)
+    of at least 1 raises ValueError on entry (`arith._check_level`).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    arith._check_level(n)
     if mode == "offline":
         dirs = (os.environ.get(ENV_CACHE_DIR), None) if client is None else (client.cache_dir, client.fixtures_dir)
         if any(dirs):

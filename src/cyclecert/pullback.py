@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import _Record
+from .arith import _check_level, _Record
 from .heegner import HeegnerIndex, hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
@@ -58,8 +58,7 @@ class DivisorClass(_Record):
         cusp_coeff: Fraction = Fraction(0),
         cusp_ambiguous: bool = False,
     ) -> None:
-        if level < 1:
-            raise ValueError("level must be a positive integer")
+        _check_level(level)
         cleaned: dict[HeegKey, Fraction] = {}
         for (m0, r1), coeff in (heeg_coeffs or {}).items():
             coeff = Fraction(coeff)

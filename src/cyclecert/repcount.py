@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .arith import _check_level
+
 
 def scalar_rep_count(level: int, value: Fraction | int, residue: int) -> int:
     """Number of vectors of norm `value` in the coset (residue/2N)*I + Z*I.
@@ -18,8 +20,7 @@ def scalar_rep_count(level: int, value: Fraction | int, residue: int) -> int:
     nonnegative with denominator dividing 4N.  The count is 0, 1 or 2: a
     rank-1 definite lattice represents any value by at most two vectors.
     """
-    if level < 1:
-        raise ValueError("level must be a positive integer")
+    _check_level(level)
     two_n = 2 * level
     v = value if isinstance(value, (int, Fraction)) else Fraction(value)
     n, rem = divmod(v.numerator * 2 * two_n, v.denominator)

@@ -1,10 +1,12 @@
 import random
 import time
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 from oracles import is_factorization, is_prime_by_13_bases, is_strong_probable_prime
 
+import cyclecert
 from cyclecert import arith
 from cyclecert.arith import PSI13, divisors, factor, is_prime, large_level_bound, phi
 from cyclecert.certify import CLAUSE_A1, VERDICT_PROVEN, certify
@@ -150,3 +152,40 @@ def test_profiles_fail_fast_above_bound():
         with pytest.raises(LevelBoundError):
             fn(n)
         assert time.perf_counter() - start < 0.1
+
+
+# every public entry that takes a level, each called with the level alone varied
+LEVEL_ENTRIES = {
+    "certify": lambda level: cyclecert.certify(level),
+    "witness_minus_rank1": lambda level: cyclecert.witness_minus_rank1(level),
+    "x0_profile": lambda level: cyclecert.x0_profile(level),
+    "cover_profile": lambda level: cyclecert.cover_profile(level),
+    "cover_degree_over_x0": lambda level: cyclecert.cover_degree_over_x0(level),
+    "fricke_quotient_genus": lambda level: cyclecert.fricke_quotient_genus(level),
+    "minus_newspace_dim": lambda level: cyclecert.minus_newspace_dim(level),
+    "heegner_r_values": lambda level: cyclecert.heegner_r_values(level, -23),
+    "HeegnerIndex": lambda level: cyclecert.HeegnerIndex(level, -4, 0),
+    "special_divisor_index": lambda level: cyclecert.special_divisor_index(level, Fraction(7, 8), 1),
+    "decompose_heegner": lambda level: cyclecert.decompose_heegner(level, Fraction(7, 8), 1),
+    "GramLattice": lambda level: cyclecert.GramLattice(3, level),
+    "DiscElement": lambda level: cyclecert.DiscElement(level, 1, 0),
+    "DivisorClass": lambda level: cyclecert.DivisorClass(level),
+    "scalar_rep_count": lambda level: cyclecert.scalar_rep_count(level, 1, 0),
+    "NewformRecord": lambda level: cyclecert.NewformRecord(level, "a", 2, -1, 1, "fixture"),
+    "fetch_newforms": lambda level: cyclecert.NewformClient().fetch_newforms(level),
+}
+
+
+@pytest.mark.parametrize("level", [0, -3, 2.0, True, "7"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRIES))
+def test_every_entry_applies_the_one_level_rule(entry, level):
+    # none is a level: 2.0 and True compare like ints, so a check by value alone lets them through
+    with pytest.raises(ValueError, match="^level must be a positive integer$"):
+        LEVEL_ENTRIES[entry](level)
+
+
+def test_chow_divisor_applies_the_level_rule_behind_the_level_comparison():
+    # 2.0 == 2 passes the comparison with the decomposition's level
+    decomp = cyclecert.decompose_heegner(2, Fraction(7, 8), 1)
+    with pytest.raises(ValueError, match="^level must be a positive integer$"):
+        cyclecert.chow_heegner_divisor(2.0, decomp)

@@ -18,6 +18,7 @@ from cyclecert import (
     PullbackDecomposition,
     decompose_heegner,
     enumerate_heegner_divisor,
+    special_divisor_index,
     trace_zero_lattice,
     x0_profile,
 )
@@ -180,6 +181,12 @@ def test_ambient_generator_congruence_message_is_pinned():
         (lambda: DiscElement(2.0, 1, 0), "level must be a positive integer"),
         (lambda: HeegnerIndex(2.0, -7, 1), "level must be a positive integer"),
         (lambda: HeegnerIndex(True, -4, 0), "level must be a positive integer"),
+        (lambda: HeegnerIndex(1, -4, 0.0), "^disc and r must be integers$"),
+        (lambda: HeegnerIndex(1, -4.0, 0), "^disc and r must be integers$"),
+        (lambda: special_divisor_index(1, Fraction(3, 4), 1.0), "^r1 must be an integer$"),
+        (lambda: decompose_heegner(1, Fraction(3, 4), True), "^r1 must be an integer$"),
+        (lambda: DiscElement(2, 1.0, 0), "^r1 and r2 must be integers$"),
+        (lambda: DiscElement(2, 1, False), "^r1 and r2 must be integers$"),
     ],
 )
 def test_construction_still_validates(make, message):
