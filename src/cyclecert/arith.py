@@ -3,13 +3,18 @@
 Every certificate criterion is read off the factorization of N, so this is the
 one module that factors.  `factor` is complete for every N up to the size
 bound of the certificate; above it, where the bound clause already decides,
-a composite piece may be returned unsplit as the cofactor.  `_check_level` is
-the one level rule: every entry that takes a level N calls it, directly or
-through `_level_factors`, and it refuses anything but an `int` (not a `bool`)
-of at least 1.  Code that needs the complete factorization calls
-`_level_factors`, where an unsplit cofactor becomes a LevelBoundError.
-`_Record`, the base of the package's value records, lives here because every
-other module imports this one.
+a composite piece may be returned unsplit as the cofactor.  Code that needs
+the complete factorization calls `_level_factors`, where an unsplit cofactor
+becomes a LevelBoundError.
+
+There is one rule per input kind, each with one message, and every entry
+that takes such an input calls it: `_check_level` for a level N (directly or
+through `_level_factors`), `_check_positive` for a count n, and `_check_disc`
+for a discriminant.  Each refuses anything but an `int` (not a `bool`): a
+level or a count of at least 1, a discriminant 0 or 1 mod 4.  `_Record`, the
+base of the package's value records, lives here because every other module
+imports this one; it generates each record class's one store code, the
+trusted builder `_from_valid` included.
 """
 
 from __future__ import annotations
@@ -126,8 +131,7 @@ def factor(n: int) -> tuple[dict[int, int], int]:
     composite piece that is not a prime square comes back unsplit as the
     cofactor, and so does a piece at or above PSI13.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_positive(n)
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -167,6 +171,20 @@ def _check_level(level: int) -> None:
         raise ValueError("level must be a positive integer")
 
 
+def _check_positive(n: int) -> None:
+    """The one count rule: an `int`, not a `bool`, of at least 1; anything else raises ValueError."""
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be a positive integer")
+
+
+def _check_disc(disc: int) -> None:
+    """The one discriminant rule: an `int`, not a `bool`, that is 0 or 1 mod 4; anything else raises ValueError."""
+    if type(disc) is not int:
+        raise ValueError("disc must be an integer")
+    if disc % 4 in (2, 3):
+        raise ValueError("disc must be 0 or 1 mod 4")
+
+
 def _level_factors(n: int) -> dict[int, int]:
     """The complete factorization of a level n, or LevelBoundError naming n; ValueError for no level."""
     _check_level(n)
@@ -195,22 +213,38 @@ def divisors(factors: dict[int, int]) -> list[int]:
 class _Record:
     """Base of the value records: equality, hash and repr over the fields in `_fields`.
 
-    A subclass names its fields in `_fields` and fills them in `__init__`
-    through `self.__dict__`, since assignment is refused.  Records built from
-    values already checked skip `__init__`: the pullback round trip's through
-    each class's one trusted classmethod `_from_valid`, the Heegner
-    enumeration's `BQForm`s inline; either way the fields are stored straight
-    into the fresh instance's `__dict__`.  Records compare equal only to
-    records of the same class, and assigning or deleting an attribute
-    afterwards raises AttributeError.
+    A subclass names its fields in `_fields`, and in `_extras` the private
+    values it keeps beside them, out of equality, hash and repr.  From these
+    `__init_subclass__` generates the class's one store code, once: `_store`,
+    which `__init__` calls after its checks, and the trusted builder
+    `cls._from_valid`, which builds a record without running `__init__` from
+    values already checked and normalized as `__init__` would store them.
+    Both take the fields and then the extras, in order, and store each
+    straight into the instance's `__dict__`, since assignment is refused.
+    Records compare equal only to records of the same class, and assigning
+    or deleting an attribute afterwards raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
+    _extras: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # a plain attribute, not a method: call it as self._values(self)
         cls._values = attrgetter(*cls._fields)
+        names = cls._fields + cls._extras
+        params = ", ".join(names)
+        stores = "".join("\n    fields[%r] = %s" % (name, name) for name in names)
+        # one store per name, with no kwargs dict or zip, compiled in one exec per class
+        namespace = {"__name__": cls.__module__, "new": object.__new__, "cls": cls}
+        exec(
+            "def _store(self, %s):\n    fields = self.__dict__%s\n\n"
+            "def _from_valid(%s):\n    self = new(cls)\n    fields = self.__dict__%s\n    return self\n"
+            % (params, stores, params, stores),
+            namespace,
+        )
+        cls._store = namespace["_store"]
+        cls._from_valid = staticmethod(namespace["_from_valid"])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -37,9 +37,9 @@ _PROFILE_MAX_LEVEL = 60
 class Certificate(_Record):
     """The clause that fired for a level, with its witnesses, profile and justification.
 
-    The clause is one of the five `CLAUSE_*` values, else ValueError.  The
-    verdict follows from it: "unknown" when it is "none", and
-    "proven_nontrivial" otherwise.
+    The level passes `arith._check_level` and the clause is one of the five
+    `CLAUSE_*` values, else ValueError.  The verdict follows from the
+    clause: "unknown" when it is "none", and "proven_nontrivial" otherwise.
     """
 
     _fields = ("level", "verdict", "clause", "witnesses", "curve_profile", "justification")
@@ -52,16 +52,11 @@ class Certificate(_Record):
         curve_profile: CurveProfile | None,
         justification: str,
     ) -> None:
+        _check_level(level)
         if clause not in _CLAUSES:
             raise ValueError("clause must be one of %s, not %r" % (", ".join(_CLAUSES), clause))
-        self.__dict__.update(
-            level=level,
-            verdict=VERDICT_UNKNOWN if clause == CLAUSE_NONE else VERDICT_PROVEN,
-            clause=clause,
-            witnesses=witnesses,
-            curve_profile=curve_profile,
-            justification=justification,
-        )
+        verdict = VERDICT_UNKNOWN if clause == CLAUSE_NONE else VERDICT_PROVEN
+        self._store(level, verdict, clause, witnesses, curve_profile, justification)
 
 
 def certify(

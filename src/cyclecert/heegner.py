@@ -23,7 +23,7 @@ import functools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import _check_level, _level_factors, _Record
+from .arith import _check_disc, _check_level, _check_positive, _level_factors, _Record
 
 
 class CongruenceError(ValueError):
@@ -36,20 +36,10 @@ class BQForm(_Record):
     _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int) -> None:
-        self.__dict__.update(a=a, b=b, c=c)
+        self._store(a, b, c)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def transformed(self, g: tuple[tuple[int, int], tuple[int, int]]) -> "BQForm":
-        """Form Q(g11*x + g12*y, g21*x + g22*y)."""
-        (p, q), (s, t) = g
-        a, b, c = self.a, self.b, self.c
-        return BQForm(
-            a * p * p + b * p * s + c * s * s,
-            2 * a * p * q + b * (p * t + q * s) + 2 * c * s * t,
-            a * q * q + b * q * t + c * t * t,
-        )
 
 
 def _reduced_triples(n: int) -> list[tuple[int, int, int]]:
@@ -75,8 +65,7 @@ def reduced_forms(n: int) -> tuple[BQForm, ...]:
     Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     Imprimitive forms are included.  Empty unless n = 0 or 3 mod 4.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     return tuple(BQForm(a, b, c) for a, b, c in sorted(_reduced_triples(n)))
 
 
@@ -97,7 +86,8 @@ _WEIGHTS = {6: Fraction(1), 3: Fraction(1, 2), 2: Fraction(1, 3)}
 def hurwitz_class_number(n: int) -> Fraction:
     """Hurwitz class number H(n): weighted count of all form classes of discriminant -n.
 
-    Zero when -n is not a discriminant (n = 1 or 2 mod 4).  Rejects n <= 0.
+    Zero when -n is not a discriminant (n = 1 or 2 mod 4).  Rejects anything
+    but an `int` n >= 1 (`arith._check_positive`).
     The weights are closed-form (Hirzebruch and Zagier, Invent. Math. 36,
     1976): among the reduced forms of discriminant -n only [k, 0, k], present
     exactly when n = 4k**2, weighs 1/2, and only [k, k, k], present exactly
@@ -105,8 +95,7 @@ def hurwitz_class_number(n: int) -> Fraction:
     reduced forms, less 3 when n = 4k**2 and less 4 when n = 3k**2, and no
     form is weighed one by one.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     sixths = 6 * len(_reduced_triples(n))
     if n % 4 == 0 and isqrt(n // 4) ** 2 * 4 == n:
         sixths -= 3
@@ -117,8 +106,7 @@ def hurwitz_class_number(n: int) -> Fraction:
 
 def class_number(n: int) -> int:
     """Class number h(-n): number of primitive reduced forms of discriminant -n."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     return sum(1 for a, b, c in _reduced_triples(n) if gcd(gcd(a, b), c) == 1)
 
 
@@ -130,8 +118,7 @@ def eichler_relation_sides(n: int) -> tuple[Fraction, int]:
     is an integer).  Right: sum over d | n of max(d, n/d).  The two agree
     for every n >= 1.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     twelfths = 0
     for r in range(isqrt(4 * n) + 1):
         m = 4 * n - r * r
@@ -149,10 +136,10 @@ def heegner_r_values(level: int, disc: int) -> list[int]:
     The roots are taken on each prime power of N (on 2^(e+1) for r, checked
     mod 2^(e+2), at p = 2) and glued by CRT.  Each prime power is scanned, so
     the cost is linear in the largest prime power of N, not in N; a level
-    above the factoring bound raises LevelBoundError.
+    above the factoring bound raises LevelBoundError; a disc that is no
+    discriminant (`arith._check_disc`) raises ValueError.
     """
-    if disc % 4 in (2, 3):
-        raise ValueError("disc must be 0 or 1 mod 4")
+    _check_disc(disc)
     roots, modulus = [0], 1
     for p, e in {2: 0, **_level_factors(level)}.items():
         q = p**e if p > 2 else 2 ** (e + 1)
@@ -175,20 +162,11 @@ class HeegnerIndex(_Record):
             raise ValueError("disc and r must be integers")
         if disc >= 0:
             raise ValueError("disc must be negative")
-        if disc % 4 in (2, 3):
-            raise ValueError("disc must be 0 or 1 mod 4")
+        _check_disc(disc)
         r %= 2 * level
         if (r * r - disc) % (4 * level) != 0:
             raise ValueError("r**2 must be disc mod 4N")
-        self.__dict__.update(level=level, disc=disc, r=r)
-
-    @classmethod
-    def _from_valid(cls, level: int, disc: int, r: int) -> "HeegnerIndex":
-        # an index already checked, with r reduced mod 2N: three stores into the fresh __dict__
-        out = cls.__new__(cls)
-        fields = out.__dict__
-        fields["level"], fields["disc"], fields["r"] = level, disc, r
-        return out
+        self._store(level, disc, r)
 
     def self_paired(self) -> bool:
         """True when r = -r mod 2N, so the paired divisor is 2x a single one."""
@@ -205,7 +183,7 @@ class HeegnerDivisor(_Record):
     _fields = ("index", "classes", "degree", "self_paired")
 
     def __init__(self, index: HeegnerIndex, classes: tuple[tuple[BQForm, Fraction], ...], degree: Fraction) -> None:
-        self.__dict__.update(index=index, classes=classes, degree=degree, self_paired=index.self_paired())
+        self._store(index, classes, degree, index.self_paired())
 
 
 def _p1_canon(p: int, q: int, n: int) -> tuple[int, int]:
@@ -308,14 +286,11 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
             found.append(((p * u + s * v) // 2, t * v - q * u, a * q * q - b * q * t + c * t * t, sixths))
     classes = []
     total = 0
+    new_form = BQForm._from_valid
     for a, b, c, w in sorted(found):
         if a % n or (b - r) % (2 * n):
             raise RuntimeError("%r: representative [%d, %d, .] breaks N | a, b = r mod 2N" % (idx, a, b))
-        # BQForm(a, b, c) without the frame of its __init__ or a kwargs dict: three stores into its fresh __dict__
-        form = BQForm.__new__(BQForm)
-        fields = form.__dict__
-        fields["a"], fields["b"], fields["c"] = a, b, c
-        classes.append((form, _WEIGHTS[w]))
+        classes.append((new_form(a, b, c), _WEIGHTS[w]))
         total += w
     return HeegnerDivisor(index=idx, classes=tuple(classes), degree=Fraction(total, 6))
 

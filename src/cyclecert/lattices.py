@@ -49,7 +49,7 @@ class GramLattice(_Record):
         _check_level(level)
         if type(rank) is not int or rank not in _SIGNATURES:
             raise ValueError("rank must be 3 or 4")
-        self.__dict__.update(rank=rank, gram=_pinned_gram(level, rank), signature=_SIGNATURES[rank], level=level)
+        self._store(rank, _pinned_gram(level, rank), _SIGNATURES[rank], level)
 
     def disc_group_order(self) -> int:
         """Order of dual/lattice quotient, |det(gram)| = (2N)**(rank - 2)."""
@@ -93,8 +93,7 @@ class DiscElement(_Record):
         if type(r1) is not int or type(r2) is not int:
             raise ValueError("r1 and r2 must be integers")
         m = 2 * level
-        fields = self.__dict__
-        fields["level"], fields["r1"], fields["r2"] = level, r1 % m, r2 % m
+        self._store(level, r1 % m, r2 % m)
 
     def is_zero(self) -> bool:
         return self.r1 == 0 and self.r2 == 0

@@ -37,15 +37,16 @@ def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
 class CurveProfile(arith._Record):
     """Index, elliptic-point and cusp counts of a modular curve, and the genus they give.
 
-    The genus comes from the Riemann-Hurwitz formula; counts that give no
-    nonnegative integer genus raise ValueError.
+    The level passes `arith._check_level`.  The genus comes from the
+    Riemann-Hurwitz formula; counts that give no nonnegative integer genus
+    raise ValueError.
     """
 
     _fields = ("label", "level", "index", "nu2", "nu3", "cusps", "genus")
 
     def __init__(self, label: str, level: int, index: int, nu2: int, nu3: int, cusps: int) -> None:
-        genus = _genus(index, nu2, nu3, cusps)
-        self.__dict__.update(label=label, level=level, index=index, nu2=nu2, nu3=nu3, cusps=cusps, genus=genus)
+        arith._check_level(level)
+        self._store(label, level, index, nu2, nu3, cusps, _genus(index, nu2, nu3, cusps))
 
 
 def x0_profile(level: int) -> CurveProfile:

@@ -71,14 +71,7 @@ class NewformRecord(arith._Record):
             raise ValueError("analytic_rank must be nonnegative")
         if (analytic_rank % 2 == 1) != (fricke_sign == -1):
             raise ValueError("analytic rank parity inconsistent with functional-equation sign for %s" % label)
-        self.__dict__.update(
-            level=level,
-            label=label,
-            weight=weight,
-            fricke_sign=fricke_sign,
-            analytic_rank=analytic_rank,
-            source=source,
-        )
+        self._store(level, label, weight, fricke_sign, analytic_rank, source)
 
 
 def _normalize_record(raw: object, level: int, source: str, index: int) -> NewformRecord:

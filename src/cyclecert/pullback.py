@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import _check_level, _Record
-from .heegner import HeegnerIndex, hurwitz_class_number, special_divisor_index
+from .heegner import hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
 
@@ -66,29 +66,13 @@ class DivisorClass(_Record):
                 continue
             key = (Fraction(m0), special_divisor_index(level, m0, r1).r)
             cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
-        self.__dict__.update(
-            level=level,
-            heeg_coeffs={k: v for k, v in cleaned.items() if v != 0},
-            omega_coeff=Fraction(omega_coeff),
-            cusp_coeff=Fraction(cusp_coeff),
-            cusp_ambiguous=cusp_ambiguous,
+        self._store(
+            level,
+            {k: v for k, v in cleaned.items() if v != 0},
+            Fraction(omega_coeff),
+            Fraction(cusp_coeff),
+            cusp_ambiguous,
         )
-
-    @classmethod
-    def _from_valid(
-        cls,
-        level: int,
-        heeg_coeffs: dict[HeegKey, Fraction],
-        omega_coeff: Fraction,
-        cusp_coeff: Fraction,
-        cusp_ambiguous: bool,
-    ) -> "DivisorClass":
-        # keys already validated and normalized, coefficients nonzero Fractions
-        out = cls.__new__(cls)
-        fields = out.__dict__
-        fields["level"], fields["heeg_coeffs"], fields["omega_coeff"] = level, heeg_coeffs, omega_coeff
-        fields["cusp_coeff"], fields["cusp_ambiguous"] = cusp_coeff, cusp_ambiguous
-        return out
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.level != other.level:
@@ -128,6 +112,7 @@ class AmbientGenerator(_Record):
     """
 
     _fields = ("m", "mu")
+    _extras = ("_four_nm",)
 
     def __init__(self, m: Fraction, mu: DiscElement) -> None:
         m = Fraction(m)
@@ -139,15 +124,7 @@ class AmbientGenerator(_Record):
         # congruence 4N*m + r1**2 - r2**2 = 0 mod 4N, which needs 4N*m integral
         if (four_nm + mu.r1 * mu.r1 - mu.r2 * mu.r2) % four_n:
             raise ValueError("m = %s violates m = q(mu) mod 1 for mu = %s" % (m, mu))
-        self.__dict__.update(m=m, mu=mu, _four_nm=four_nm.numerator)
-
-    @classmethod
-    def _from_valid(cls, m: Fraction, mu: DiscElement, four_nm: int) -> "AmbientGenerator":
-        # m = four_nm/4N already keeps m = q(mu) mod 1: three stores into the fresh __dict__
-        out = cls.__new__(cls)
-        fields = out.__dict__
-        fields["m"], fields["mu"], fields["_four_nm"] = m, mu, four_nm
-        return out
+        self._store(m, mu, four_nm.numerator)
 
     @property
     def level(self) -> int:
@@ -168,21 +145,10 @@ class PullbackDecomposition(_Record):
     """
 
     _fields = ("level", "target", "terms", "residual_cusp_ambiguous")
+    _extras = ("_index",)
 
     def __init__(self, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction], ...]) -> None:
-        index = special_divisor_index(level, *target)
-        self.__dict__.update(level=level, target=target, terms=terms, residual_cusp_ambiguous=True, _index=index)
-
-    @classmethod
-    def _from_valid(
-        cls, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction], ...], index: HeegnerIndex
-    ) -> "PullbackDecomposition":
-        # index is special_divisor_index(level, *target), already taken
-        out = cls.__new__(cls)
-        fields = out.__dict__
-        fields["level"], fields["target"], fields["terms"] = level, target, terms
-        fields["residual_cusp_ambiguous"], fields["_index"] = True, index
-        return out
+        self._store(level, target, terms, True, special_divisor_index(level, *target))
 
     def coefficient(self, gen: AmbientGenerator) -> Fraction:
         for g, c in self.terms:
@@ -305,8 +271,8 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
         if lam0:
             # Z*(0, 0), here mu = (0, 0), keeps m = q(mu) mod 1 at m = 0
             terms.append((new_gen(_ZERO, mu, 0), Fraction(lam0)))
-    # the first rung is Z*(m0, (r1, 0)), so its m is the target's m0
-    return PullbackDecomposition._from_valid(n, (terms[0][0].m, r1), tuple(terms), idx)
+    # the first rung is Z*(m0, (r1, 0)), so its m is the target's m0; idx is the target's index, already taken
+    return PullbackDecomposition._from_valid(n, (terms[0][0].m, r1), tuple(terms), True, idx)
 
 
 def _sum_pullbacks(

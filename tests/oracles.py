@@ -574,11 +574,24 @@ def coset_reps_by_sweep(level: int):
     return tuple(reps)
 
 
+def transformed(form, g):
+    """The `BQForm` Q(g11*x + g12*y, g21*x + g22*y) for the form Q and the matrix g = ((g11, g12), (g21, g22))."""
+    from cyclecert.heegner import BQForm
+
+    (p, q), (s, t) = g
+    a, b, c = form.a, form.b, form.c
+    return BQForm(
+        a * p * p + b * p * s + c * s * s,
+        2 * a * p * q + b * (p * t + q * s) + 2 * c * s * t,
+        a * q * q + b * q * t + c * t * t,
+    )
+
+
 def labels_by_coset_scan(base, level: int, r: int, reps) -> dict:
     """label -> matrix g over the coset representatives whose transform [a', b', c'] of base has N | a' and b' = r mod 2N."""
     n, two_n = level, 2 * level
     a, b, c = base.a, base.b, base.c
-    # the level conditions on base.transformed(g), tested on plain ints
+    # the level conditions on transformed(base, g), tested on plain ints
     selected = {}
     for label, g in reps:
         (p, q), (s, t) = g
@@ -637,7 +650,7 @@ def heegner_divisor_by_coset_scan(idx):
                     if other in selected:
                         orbit.add(other)
             seen |= orbit
-            classes.append((base.transformed(selected[min(orbit)]), weight))
+            classes.append((transformed(base, selected[min(orbit)]), weight))
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
     degree = sum((w for (_, w) in classes), Fraction(0))
     return HeegnerDivisor(index=idx, classes=tuple(classes), degree=degree)
@@ -733,7 +746,7 @@ def heegner_divisor_by_local_kernels(idx):
             labels = least
         for p, s in labels:
             _, t, q_neg = egcd_recursive(p or n, s)
-            form = base.transformed(((p or n, -q_neg), (s, t)))
+            form = transformed(base, ((p or n, -q_neg), (s, t)))
             assert form.a % n == 0 and (form.b - r) % (2 * n) == 0
             classes.append((form, _WEIGHT_OF_SIXTHS[sixths]))
             total_sixths += sixths

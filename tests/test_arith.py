@@ -7,7 +7,7 @@ import pytest
 from oracles import is_factorization, is_prime_by_13_bases, is_strong_probable_prime
 
 import cyclecert
-from cyclecert import arith
+from cyclecert import arith, heegner
 from cyclecert.arith import PSI13, divisors, factor, is_prime, large_level_bound, phi
 from cyclecert.certify import CLAUSE_A1, VERDICT_PROVEN, certify
 from cyclecert.modcurves import LevelBoundError, cover_degree_over_x0, x0_profile
@@ -173,6 +173,8 @@ LEVEL_ENTRIES = {
     "scalar_rep_count": lambda level: cyclecert.scalar_rep_count(level, 1, 0),
     "NewformRecord": lambda level: cyclecert.NewformRecord(level, "a", 2, -1, 1, "fixture"),
     "fetch_newforms": lambda level: cyclecert.NewformClient().fetch_newforms(level),
+    "Certificate": lambda level: cyclecert.Certificate(level, "none", (), None, ""),
+    "CurveProfile": lambda level: cyclecert.CurveProfile("x0", level, 12, 0, 0, 2),
 }
 
 
@@ -182,6 +184,40 @@ def test_every_entry_applies_the_one_level_rule(entry, level):
     # none is a level: 2.0 and True compare like ints, so a check by value alone lets them through
     with pytest.raises(ValueError, match="^level must be a positive integer$"):
         LEVEL_ENTRIES[entry](level)
+
+
+# every entry under the discriminant rule (arith._check_disc), with the discriminant alone varied at level 7,
+# and every entry under the count rule (arith._check_positive)
+DISC_ENTRIES = {
+    "heegner_r_values": lambda disc: heegner.heegner_r_values(7, disc),
+    "HeegnerIndex": lambda disc: heegner.HeegnerIndex(7, disc, 5),
+}
+COUNT_ENTRIES = {
+    "factor": factor,
+    "reduced_forms": heegner.reduced_forms,
+    "hurwitz_class_number": heegner.hurwitz_class_number,
+    "class_number": heegner.class_number,
+    "eichler_relation_sides": heegner.eichler_relation_sides,
+}
+
+
+@pytest.mark.parametrize("disc", [-3.0, True, -5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(DISC_ENTRIES))
+def test_every_entry_applies_the_one_discriminant_rule(entry, disc):
+    # -3.0 and True pass a check of the residue alone; HeegnerIndex names r beside disc in its type message
+    message = "^disc must be 0 or 1 mod 4$" if disc == -5 else "^disc (must be an integer|and r must be integers)$"
+    with pytest.raises(ValueError, match=message):
+        DISC_ENTRIES[entry](disc)
+
+
+@pytest.mark.parametrize("n", [0, -4, True, 23.0, "23"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+def test_every_entry_applies_the_one_count_rule(entry, n):
+    # True and 23.0 hash as 1 and 23, but the cache keys a lone argument by itself only for an int
+    heegner.hurwitz_class_number(1)
+    heegner.hurwitz_class_number(23)
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        COUNT_ENTRIES[entry](n)
 
 
 def test_chow_divisor_applies_the_level_rule_behind_the_level_comparison():

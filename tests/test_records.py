@@ -101,6 +101,16 @@ def test_fields_live_in_the_instance_dict(make, expected):
     assert set(vars(record)) == set(record._fields) | extra
 
 
+@pytest.mark.parametrize("make,expected", RECORDS, ids=IDS)
+def test_the_generated_builder_rebuilds_every_record(make, expected):
+    record = make()
+    cls = type(record)
+    extras = tuple(getattr(record, name) for name in cls._extras)
+    rebuilt = cls._from_valid(*_values(record), *extras)
+    assert rebuilt is not record and type(rebuilt) is cls
+    assert rebuilt == record and vars(rebuilt) == vars(record)
+
+
 @pytest.mark.parametrize("make,expected", HASHABLE, ids=HASHABLE_IDS)
 def test_frozen_records_hash_on_their_fields(make, expected):
     one, two = make(), make()
