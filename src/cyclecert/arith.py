@@ -9,9 +9,11 @@ becomes a LevelBoundError.
 
 There is one rule per input kind, each with one message, and every entry
 that takes such an input calls it: `_check_level` for a level N (directly or
-through `_level_factors`), `_check_positive` for a count n, and `_check_disc`
-for a discriminant.  Each refuses anything but an `int` (not a `bool`): a
-level or a count of at least 1, a discriminant 0 or 1 mod 4.  `_Record`, the
+through `_level_factors`), `_check_positive` for a count n, `_check_disc`
+for a discriminant and `_check_rational` for a rational value (m0, m or a
+coefficient).  The first three refuse anything but an `int` (not a `bool`):
+a level or a count of at least 1, a discriminant 0 or 1 mod 4; the last
+refuses anything but an `int` (not a `bool`) or a `Fraction`.  `_Record`, the
 base of the package's value records, lives here because every other module
 imports this one; it generates each record class's one store code, the
 trusted builder `_from_valid` included.
@@ -19,6 +21,7 @@ trusted builder `_from_valid` included.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, prod
 from operator import attrgetter
@@ -183,6 +186,12 @@ def _check_disc(disc: int) -> None:
         raise ValueError("disc must be an integer")
     if disc % 4 in (2, 3):
         raise ValueError("disc must be 0 or 1 mod 4")
+
+
+def _check_rational(x: Fraction | int) -> None:
+    """The one rational rule: an `int`, not a `bool`, or a `Fraction`; anything else raises ValueError."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise ValueError("a rational value must be an int or a Fraction")
 
 
 def _level_factors(n: int) -> dict[int, int]:

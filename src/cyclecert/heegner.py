@@ -23,7 +23,7 @@ import functools
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import _check_disc, _check_level, _check_positive, _level_factors, _Record
+from .arith import _check_disc, _check_level, _check_positive, _check_rational, _level_factors, _Record
 
 
 class CongruenceError(ValueError):
@@ -298,7 +298,8 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:
     """Heegner index (D, r) = (-4N*m0, r1 mod 2N) of the special divisor at (m0, r1).
 
-    Requires a level N (see `arith._check_level`), an `int` r1, m0 > 0 and
+    Requires a level N (see `arith._check_level`), an `int` r1, an `int` or
+    `Fraction` m0 (see `arith._check_rational`), m0 > 0 and
     m0 = -r1**2/4N mod 1 (else CongruenceError), the last two checked in
     integers on m0's numerator and denominator.  Every key that passes
     indexes a Heegner divisor, built unchecked: the congruence says
@@ -307,8 +308,7 @@ def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerInd
     _check_level(level)
     if type(r1) is not int:
         raise ValueError("r1 must be an integer")
-    if type(m0) not in (int, Fraction):
-        m0 = Fraction(m0)
+    _check_rational(m0)
     if m0.numerator <= 0:
         raise ValueError("m0 must be positive")
     r1 = r1 % (2 * level)

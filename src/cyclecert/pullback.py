@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import _check_level, _Record
+from .arith import _check_level, _check_rational, _Record
 from .heegner import hurwitz_class_number, special_divisor_index
 from .lattices import DiscElement
 from .modcurves import cover_degree_over_x0
@@ -59,12 +59,17 @@ class DivisorClass(_Record):
         cusp_ambiguous: bool = False,
     ) -> None:
         _check_level(level)
+        _check_rational(omega_coeff)
+        _check_rational(cusp_coeff)
         cleaned: dict[HeegKey, Fraction] = {}
         for (m0, r1), coeff in (heeg_coeffs or {}).items():
+            _check_rational(coeff)
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            key = (Fraction(m0), special_divisor_index(level, m0, r1).r)
+            # the key is checked before Fraction(m0) could coerce it
+            r = special_divisor_index(level, m0, r1).r
+            key = (Fraction(m0), r)
             cleaned[key] = cleaned.get(key, Fraction(0)) + coeff
         self._store(
             level,
@@ -89,6 +94,7 @@ class DivisorClass(_Record):
         )
 
     def scaled(self, factor: Fraction | int) -> "DivisorClass":
+        _check_rational(factor)
         f = Fraction(factor)
         return DivisorClass._from_valid(
             self.level,
@@ -115,6 +121,7 @@ class AmbientGenerator(_Record):
     _extras = ("_four_nm",)
 
     def __init__(self, m: Fraction, mu: DiscElement) -> None:
+        _check_rational(m)
         m = Fraction(m)
         if m < 0:
             raise ValueError("m must be nonnegative")
@@ -287,6 +294,7 @@ def _sum_pullbacks(
         if gen.mu.level != level:
             raise ValueError("cannot add classes at different levels")
         if type(coeff) is not Fraction:
+            _check_rational(coeff)
             coeff = Fraction(coeff)
         heeg = by_r1.setdefault(gen.mu.r1, {})
         omega += _add_pullback(gen, coeff.numerator if coeff.denominator == 1 else coeff, heeg)

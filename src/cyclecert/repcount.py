@@ -10,20 +10,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import _check_level
+from .arith import _check_level, _check_rational
 
 
 def scalar_rep_count(level: int, value: Fraction | int, residue: int) -> int:
     """Number of vectors of norm `value` in the coset (residue/2N)*I + Z*I.
 
     Equals #{k in Z : (residue + 2*N*k)**2 == 4*N*value}.  `value` must be
-    nonnegative with denominator dividing 4N.  The count is 0, 1 or 2: a
-    rank-1 definite lattice represents any value by at most two vectors.
+    an `int` or a `Fraction` (see `arith._check_rational`), nonnegative,
+    with denominator dividing 4N, and `residue` an `int`.  The count is 0,
+    1 or 2: a rank-1 definite lattice represents any value by at most two
+    vectors.
     """
     _check_level(level)
+    _check_rational(value)
+    if type(residue) is not int:
+        raise ValueError("residue must be an integer")
     two_n = 2 * level
-    v = value if isinstance(value, (int, Fraction)) else Fraction(value)
-    n, rem = divmod(v.numerator * 2 * two_n, v.denominator)
+    n, rem = divmod(value.numerator * 2 * two_n, value.denominator)
     if rem:
         raise ValueError("value must have denominator dividing 4*level")
     if n < 0:

@@ -7,7 +7,9 @@ representatives of discriminant-group elements from their residues,
 modular-curve data by direct coset/orbit
 enumeration, SL2(Z/m) orders by the product formula over trial division,
 elliptic-point counts by polynomial root counting, primality
-by trial division (or sympy above 10**12) and by Miller-Rabin with all 13
+by trial division below 10**6 and by the Baillie-PSW test (a strong base-2
+test and a strong Lucas test with Selfridge's parameters) above, and by
+Miller-Rabin with all 13
 fixed bases as the kernel ran it before its bases were sized to the number,
 canonical points of P^1(Z/N)
 by minima over units, Heegner divisors by transforming
@@ -427,15 +429,28 @@ def round_trip_by_divisor_class(decomp):
 
 @functools.lru_cache(maxsize=None)
 def _is_prime_independently(p: int) -> bool:
-    if p <= 10**12:
+    if p < 10**6:
         return p == 2 or (p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2)))
-    import pytest
-
-    return pytest.importorskip("sympy").isprime(p)
+    return is_prime_bpsw(p)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI13 = 3317044064679887385961981
+# the least strong pseudoprime to the first k prime bases, for k = 1, 2, 3,
+# 4, 5, 6, 7 (also 8), 9 (also 10 and 11), 12 and 13, typed out here from
+# the sources `arith._PSI` cites rather than read from it
+LEAST_STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    PSI13,
+)
 
 
 def is_prime_by_13_bases(n: int) -> bool:
@@ -451,21 +466,7 @@ def is_prime_by_13_bases(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(is_strong_probable_prime(n, a) for a in _MR_BASES)
 
 
 def is_strong_probable_prime(n: int, a: int) -> bool:
@@ -484,12 +485,79 @@ def is_strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def is_strong_lucas_probable_prime(n: int) -> bool:
+    """True when odd n > 2, not a square, passes the strong Lucas test with Selfridge's parameters.
+
+    Method A: D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1
+    and Q = (1 - D)/4.  With n + 1 = k * 2**s, k odd, n passes when
+    U_k = 0 or V_(k * 2**r) = 0 mod n for some 0 <= r < s.  A D sharing a
+    proper factor with n proves n composite.
+    """
+    disc = 5
+    while (j := _jacobi(disc, n)) != -1:
+        if j == 0 and disc % n:
+            return False
+        disc = -disc - 2 if disc > 0 else 2 - disc
+    q = (1 - disc) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    # (U_i, V_i, Q**i) from i = 1 up the bits of k: doubling, then adding one
+    u, v, qi = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qi = u * v % n, (v * v - 2 * qi) % n, qi * qi % n
+        if bit == "1":
+            u, v, qi = (u + v) * half % n, (disc * u + v) * half % n, qi * q % n
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qi = (v * v - 2 * qi) % n, qi * qi % n
+    return False
+
+
+def is_prime_bpsw(n: int) -> bool:
+    """Baillie-PSW primality: the strong test to base 2 and the strong Lucas test.
+
+    Small prime factors are divided out and squares rejected first, so that
+    both halves see an odd non-square n.  No composite passes both halves
+    below 2**64 (Feitsma and Galway's list of the base-2 strong
+    pseudoprimes there), and none is known above (Baillie and Wagstaff,
+    Math. Comp. 35 (1980); Pomerance, Selfridge and Wagstaff, ibid.).
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    r = isqrt(n)
+    return r * r != n and is_strong_probable_prime(n, 2) and is_strong_lucas_probable_prime(n)
+
+
 def is_factorization(n: int, factors: dict[int, int]) -> bool:
     """True when `factors` (prime -> exponent) is the prime factorization of n.
 
     The factors are multiplied back, and each prime is checked on its own: by
-    trial division up to 10**12, by sympy.isprime above that (the calling test
-    is skipped when sympy is missing).
+    trial division below 10**6, by `is_prime_bpsw` from there up.
     """
     product = 1
     for p, e in factors.items():

@@ -4,7 +4,14 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from oracles import is_factorization, is_prime_by_13_bases, is_strong_probable_prime
+from oracles import (
+    LEAST_STRONG_PSEUDOPRIMES,
+    is_factorization,
+    is_prime_bpsw,
+    is_prime_by_13_bases,
+    is_strong_lucas_probable_prime,
+    is_strong_probable_prime,
+)
 
 import cyclecert
 from cyclecert import arith, heegner
@@ -31,8 +38,12 @@ def test_factor_every_small_n():
 
 def test_factor_random_below_bound():
     rng = random.Random(20231)
-    for _ in range(200):
-        n = rng.randrange(1, BOUND + 1)
+    cases = [rng.randrange(1, BOUND + 1) for _ in range(200)]
+    # prime powers above the trial primes, the bound itself, and 40 seeded n below 10**15
+    rng = random.Random(7)
+    cases += [73**3, 73**5 * 79, 1000003**3, 1000003**2 * 1000033, BOUND, BOUND - 1]
+    cases += [rng.randrange(1, 10**15) for _ in range(40)]
+    for n in cases:
         factors, cofactor = factor(n)
         assert cofactor == 1 and is_factorization(n, factors), n
 
@@ -44,15 +55,6 @@ def test_factor_products_of_primes_near_sqrt_bound(n):
     factors, cofactor = factor(n)
     assert time.perf_counter() - start < 1.0
     assert cofactor == 1 and is_factorization(n, factors) and len(factors) == 2
-
-
-def test_factor_agrees_with_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(7)
-    cases = [73**3, 73**5 * 79, 1000003**3, 1000003**2 * 1000033, BOUND, BOUND - 1]
-    cases += [rng.randrange(1, 10**15) for _ in range(40)]
-    for n in cases:
-        assert factor(n) == (sympy.factorint(n), 1), n
 
 
 def test_factor_leaves_composite_above_bound_unsplit():
@@ -77,7 +79,9 @@ def test_never_names_a_composite_as_prime():
 
 
 def test_is_prime_agrees_with_all_13_bases_below_200000():
-    assert list(filter(is_prime, range(200000))) == list(filter(is_prime_by_13_bases, range(200000)))
+    primes = list(filter(is_prime, range(200000)))
+    assert primes == list(filter(is_prime_by_13_bases, range(200000)))
+    assert primes == list(filter(is_prime_bpsw, range(200000)))
 
 
 def test_is_prime_agrees_with_all_13_bases_in_every_band():
@@ -100,7 +104,7 @@ def test_is_prime_agrees_with_all_13_bases_in_every_band():
             samples.append(n)
         samples += [lo, psi - 1]
         for n in samples:
-            assert is_prime(n) == is_prime_by_13_bases(n), n
+            assert is_prime(n) == is_prime_by_13_bases(n) == is_prime_bpsw(n), n
         lo = psi
 
 
@@ -115,6 +119,19 @@ def test_each_psi_is_a_composite_strong_pseudoprime_to_its_bases():
             # band, whose bases must find one
             assert not is_prime_by_13_bases(psi) and not is_prime(psi), psi
     assert PSI13 == 1287836182261 * 2575672364521
+    # the oracle's own list, typed out apart from the kernel's table
+    assert [psi for psi, _ in table] == list(LEAST_STRONG_PSEUDOPRIMES)
+    assert not any(map(is_prime_bpsw, LEAST_STRONG_PSEUDOPRIMES))
+
+
+def test_bpsw_needs_both_halves():
+    # strong pseudoprimes to base 2, which only the Lucas half rejects, and
+    # strong Lucas pseudoprimes, which only the base-2 half rejects
+    base_2 = (2047, 3277, 4033, 4681, 8321)
+    lucas = (5459, 5777, 10877, 16109, 18971)
+    assert all(is_strong_probable_prime(n, 2) for n in base_2)
+    assert all(map(is_strong_lucas_probable_prime, lucas))
+    assert not any(map(is_prime_bpsw, base_2 + lucas))
 
 
 def test_factor_rejects_nonpositive():
@@ -218,6 +235,39 @@ def test_every_entry_applies_the_one_count_rule(entry, n):
     heegner.hurwitz_class_number(23)
     with pytest.raises(ValueError, match="^n must be a positive integer$"):
         COUNT_ENTRIES[entry](n)
+
+
+def _r1(m0):
+    # at level 1, m0 = 3/4 is a valid target at r1 = 1, and m0 = 1 (True) at r1 = 0
+    return 0 if m0 is True else 1
+
+
+def _hand_built(coeff):
+    gen = cyclecert.AmbientGenerator(Fraction(3, 4), cyclecert.DiscElement(1, 1, 0))
+    return cyclecert.PullbackDecomposition(1, (Fraction(3, 4), 1), ((gen, coeff),))
+
+
+# every entry under the rational rule (arith._check_rational), with one m0, m or coefficient varied at level 1
+RATIONAL_ENTRIES = {
+    "special_divisor_index": lambda m0: cyclecert.special_divisor_index(1, m0, _r1(m0)),
+    "decompose_heegner": lambda m0: cyclecert.decompose_heegner(1, m0, _r1(m0)),
+    "AmbientGenerator": lambda m: cyclecert.AmbientGenerator(m, cyclecert.DiscElement(1, _r1(m), 0)),
+    "DivisorClass_key": lambda m0: cyclecert.DivisorClass(1, {(m0, _r1(m0)): 1}),
+    "DivisorClass_coeff": lambda coeff: cyclecert.DivisorClass(1, {(Fraction(3, 4), 1): coeff}),
+    "DivisorClass_omega": lambda coeff: cyclecert.DivisorClass(1, omega_coeff=coeff),
+    "DivisorClass_cusp": lambda coeff: cyclecert.DivisorClass(1, cusp_coeff=coeff),
+    "DivisorClass.scaled": lambda factor: cyclecert.DivisorClass(1).scaled(factor),
+    "verify_decomposition": lambda coeff: cyclecert.verify_decomposition(_hand_built(coeff)),
+    "scalar_rep_count": lambda value: cyclecert.scalar_rep_count(1, value, _r1(value)),
+}
+
+
+@pytest.mark.parametrize("value", [0.75, True, "3/4"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRIES))
+def test_every_entry_applies_the_one_rational_rule(entry, value):
+    # each equals or parses to a valid rational, so a coercion through Fraction() lets it through
+    with pytest.raises(ValueError, match="^a rational value must be an int or a Fraction$"):
+        RATIONAL_ENTRIES[entry](value)
 
 
 def test_chow_divisor_applies_the_level_rule_behind_the_level_comparison():

@@ -2,8 +2,10 @@
 
 Each group renders its invocations through the CLI's own handlers and
 `json.dumps(payload, sort_keys=True, indent=2)`, exactly as `cli.main`
-writes stdout, with the parser built once.  A failing test names the group
-whose output changed.  A deliberate output change rewrites the digests with
+writes stdout, with the parser built once.  The `errors` group runs
+`cli.main` itself on invocations that fail, and digests each one's argv,
+exit code and stderr.  A failing test names the group whose output
+changed.  A deliberate output change rewrites the digests with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -11,15 +13,17 @@ and says in CHANGES.md which group changed and why.
 """
 
 import hashlib
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from cyclecert import arith
-from cyclecert.cli import build_parser
+from cyclecert.cli import build_parser, main
 
 DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 
@@ -48,27 +52,69 @@ def _heegner_cases():
     yield {"N": 30030, "D": -1559, "r": 599}
 
 
-# group -> (argv parsed once, the attribute values of each invocation)
+# computation errors, each refused with one "error:" line: the level rule,
+# the prime-level curve, the discriminant and r checks, the pullback target
+# and levels above the factoring bound (argparse's own usage errors are left
+# out, since their wording differs between Python versions)
+ERROR_ARGVS = (
+    ["genus", "0"],
+    ["certify", "0"],
+    ["lattice", "0"],
+    ["newforms", "0"],
+    ["pullback", "0", "--m0", "1", "--r", "0"],
+    ["genus", "6", "--curve", "x0star"],
+    ["heegner", "7", "-5"],
+    ["heegner", "1", "0"],
+    ["heegner", "5", "-4", "3"],
+    ["pullback", "1", "--m0", "1/3", "--r", "0"],
+    ["pullback", "1", "--m0", "0", "--r", "0"],
+    ["genus", "1000000000027999999999571"],
+    ["heegner", "1000000000027999999999571", "-3"],
+)
+
+
+def _handler_outputs(argv, cases):
+    """Default JSON stdout of each case, from `argv` parsed once with the case's attributes set."""
+
+    def outputs(parser):
+        args = parser.parse_args(argv)
+        for case in cases():
+            for key, value in case.items():
+                setattr(args, key, value)
+            payload, _ = args.func(args)
+            yield json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    return outputs
+
+
+def _error_outputs(parser):
+    """Argv, exit code and stderr of each error invocation, run through `cli.main`."""
+    for argv in ERROR_ARGVS:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert (code, stdout.getvalue()) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv
+        yield json.dumps({"argv": argv, "exit": code, "stderr": err}, sort_keys=True) + "\n"
+
+
+# group -> the text of its invocations, given the parser built once
 GROUPS = {
-    "genus_x0": (["genus", "1", "--curve", "x0"], lambda: ({"N": n} for n in range(1, 3001))),
-    "genus_xn": (["genus", "1", "--curve", "xn"], lambda: ({"N": n} for n in range(1, 3001))),
-    "genus_x0star": (["genus", "2", "--curve", "x0star"], lambda: ({"N": p} for p in _primes(2000))),
-    "heegner": (["heegner", "1", "-3"], _heegner_cases),
-    "pullback": (["pullback", "1", "--m0", "1/4", "--r", "1"], _pullback_cases),
-    "certify": (["certify", "1"], lambda: ({"N": n} for n in range(1, 2001))),
-    "lattice": (["lattice", "1"], lambda: ({"N": n} for n in range(1, 1001))),
+    "genus_x0": _handler_outputs(["genus", "1", "--curve", "x0"], lambda: ({"N": n} for n in range(1, 3001))),
+    "genus_xn": _handler_outputs(["genus", "1", "--curve", "xn"], lambda: ({"N": n} for n in range(1, 3001))),
+    "genus_x0star": _handler_outputs(["genus", "2", "--curve", "x0star"], lambda: ({"N": p} for p in _primes(2000))),
+    "heegner": _handler_outputs(["heegner", "1", "-3"], _heegner_cases),
+    "pullback": _handler_outputs(["pullback", "1", "--m0", "1/4", "--r", "1"], _pullback_cases),
+    "certify": _handler_outputs(["certify", "1"], lambda: ({"N": n} for n in range(1, 2001))),
+    "lattice": _handler_outputs(["lattice", "1"], lambda: ({"N": n} for n in range(1, 1001))),
+    "errors": _error_outputs,
 }
 
 
 def group_digest(parser, name):
-    argv, cases = GROUPS[name]
-    args = parser.parse_args(argv)
     digest = hashlib.sha256()
-    for case in cases():
-        for key, value in case.items():
-            setattr(args, key, value)
-        payload, _ = args.func(args)
-        digest.update((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+    for text in GROUPS[name](parser):
+        digest.update(text.encode())
     return digest.hexdigest()
 
 

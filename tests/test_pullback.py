@@ -508,9 +508,9 @@ def _outcome(fn, *args):
 
 
 def test_special_divisor_index_matches_the_fraction_route():
-    m0s = [0, -1, -3, 1, 2, 7, 12, True]
+    m0s = [0, -1, -3, 1, 2, 7, 12]
     m0s += [Fraction(k, d) for d in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 36, 48) for k in range(-2, 49, 5)]
-    m0s += ["3/4", "-1/2", "0", "7", "23/12", "5/48", "0.75", 0.75]
+    m0s += [Fraction(text) for text in ("3/4", "-1/2", "0", "7", "23/12", "5/48", "0.75")]
     checked = {"ok": 0, "CongruenceError": 0, "ValueError": 0}
     for level in range(1, 13):
         for r1 in range(-1, 2 * level + 2):
@@ -520,4 +520,8 @@ def test_special_divisor_index_matches_the_fraction_route():
                 assert got == want and type(got) is type(want), (level, m0, r1)
                 checked["ok" if not isinstance(got, tuple) else got[0].__name__] += 1
     assert _outcome(special_divisor_index, 0, 1, 0) == _outcome(special_divisor_index_by_fractions, 0, 1, 0)
+    # what Fraction() would coerce is refused by the rational rule, before the congruence
+    refused = (ValueError, "a rational value must be an int or a Fraction")
+    for m0 in (True, "3/4", "-1/2", "0", "7", "23/12", "5/48", "0.75", 0.75):
+        assert _outcome(special_divisor_index, 1, m0, 1) == refused, m0
     assert all(count > 100 for count in checked.values()), checked

@@ -23,6 +23,13 @@ def test_rejects_negative_value():
         scalar_rep_count(1, -1, 0)
 
 
+@pytest.mark.parametrize("residue", [0.0, True, "0"], ids=repr)
+def test_rejects_a_residue_that_is_not_an_int(residue):
+    # 0.0 and True compare like ints, so arithmetic on them alone lets them through
+    with pytest.raises(ValueError, match="^residue must be an integer$"):
+        scalar_rep_count(1, 1, residue)
+
+
 def test_rejects_bad_denominator():
     with pytest.raises(ValueError):
         scalar_rep_count(1, Fraction(1, 3), 0)
