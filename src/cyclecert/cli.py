@@ -40,10 +40,6 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational number: %r" % text) from exc
 
 
-def _fstr(x) -> str:
-    return str(Fraction(x))
-
-
 def schema_text() -> str:
     return (resources.files(__package__) / "schemas" / "output.schema.json").read_text(
         encoding="utf-8"
@@ -79,9 +75,9 @@ def _heegner_block(idx: heegner_mod.HeegnerIndex) -> dict:
     return {
         "r": idx.r,
         "self_paired": div.self_paired,
-        "degree": _fstr(div.degree),
+        "degree": str(div.degree),
         "class_representatives": [
-            {"a": f.a, "b": f.b, "c": f.c, "weight": _fstr(w)} for (f, w) in div.classes
+            {"a": f.a, "b": f.b, "c": f.c, "weight": str(w)} for (f, w) in div.classes
         ],
     }
 
@@ -102,20 +98,20 @@ def _cmd_pullback(args) -> tuple[dict, int]:
     out = {
         "kind": "pullback",
         "level": args.N,
-        "m0": _fstr(decomp.target[0]),
+        "m0": str(decomp.target[0]),
         "r1": decomp.target[1],
         "terms": [
             {
-                "m": _fstr(gen.m),
+                "m": str(gen.m),
                 "r1": gen.mu.r1,
                 "r2": gen.mu.r2,
-                "coeff": _fstr(coeff),
+                "coeff": str(coeff),
             }
             for gen, coeff in decomp.terms
         ],
         "residual_cusp_ambiguous": decomp.residual_cusp_ambiguous,
         "round_trip_residual": [
-            {"m0": _fstr(m0), "r1": r1, "coeff": _fstr(c)}
+            {"m0": str(m0), "r1": r1, "coeff": str(c)}
             for (m0, r1), c in sorted(residual.items())
         ],
         "round_trip_ok": not residual,

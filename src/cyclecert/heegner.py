@@ -31,11 +31,13 @@ class CongruenceError(ValueError):
 
 
 class BQForm(_Record):
-    """Integral binary quadratic form a*x**2 + b*x*y + c*y**2."""
+    """Integral binary quadratic form a*x**2 + b*x*y + c*y**2; a, b and c are `int`s, not `bool`s."""
 
     _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int) -> None:
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            raise ValueError("a, b and c must be integers")
         self._store(a, b, c)
 
     def discriminant(self) -> int:
@@ -66,7 +68,7 @@ def reduced_forms(n: int) -> tuple[BQForm, ...]:
     Imprimitive forms are included.  Empty unless n = 0 or 3 mod 4.
     """
     _check_positive(n)
-    return tuple(BQForm(a, b, c) for a, b, c in sorted(_reduced_triples(n)))
+    return tuple(BQForm._from_valid(a, b, c) for a, b, c in sorted(_reduced_triples(n)))
 
 
 def _weight_sixths(a: int, b: int, c: int) -> int:

@@ -7,18 +7,17 @@ this algebra with a cusp coefficient that is only defined up to an integer;
 that ambiguity is carried as a flag and never guessed, and all round-trip
 comparisons are on Heegner coefficients alone.
 
-Keys are validated once, where they enter: `decompose_heegner` checks its
-target, and `PullbackDecomposition`, `DivisorClass` and `AmbientGenerator`
-check what they are given.  A decomposition keeps its target's
-`HeegnerIndex`, so `apply_decomposition`, `verify_decomposition` and
-`chow_heegner_divisor` check nothing again, and a decompose, verify and
-chow round takes one `special_divisor_index` call.  Inside, a
-ladder rung differs from its valid target by a multiple of N in m, so it
-keeps the congruence m = q(mu) mod 1 and is built unchecked, and pullbacks
-are summed per r1 on the integer keys 4N*m0, visiting s and -s once where
-both split; every key a pullback reaches is valid by construction, so the
-classes returned are built without checking their keys again, and
-`Fraction` keys appear only in what is returned.
+Input is validated once, where it enters: `decompose_heegner` checks its
+target, and the records check what they are given, a decomposition its
+target and every term.  It keeps its target's `HeegnerIndex`, so the round
+trip and `chow_heegner_divisor` check nothing again, and a decompose,
+verify and chow round takes one `special_divisor_index` call.  Inside, a
+ladder rung keeps its valid target's congruence m = q(mu) mod 1 and is
+built unchecked with an `int` coefficient, and pullbacks are summed per r1
+on the integer keys 4N*m0, visiting s and -s once where both split; every
+key a pullback reaches is valid, so the classes returned are built without
+checking their keys again, and `Fraction` keys appear only in what is
+returned.
 """
 
 from __future__ import annotations
@@ -59,6 +58,8 @@ class DivisorClass(_Record):
         cusp_ambiguous: bool = False,
     ) -> None:
         _check_level(level)
+        if type(cusp_ambiguous) is not bool:
+            raise ValueError("cusp_ambiguous must be a bool")
         _check_rational(omega_coeff)
         _check_rational(cusp_coeff)
         cleaned: dict[HeegKey, Fraction] = {}
@@ -122,6 +123,8 @@ class AmbientGenerator(_Record):
 
     def __init__(self, m: Fraction, mu: DiscElement) -> None:
         _check_rational(m)
+        if type(mu) is not DiscElement:
+            raise ValueError("mu must be a DiscElement")
         m = Fraction(m)
         if m < 0:
             raise ValueError("m must be nonnegative")
@@ -141,27 +144,35 @@ class AmbientGenerator(_Record):
 class PullbackDecomposition(_Record):
     """Coefficients on ambient generators realizing a Heegner divisor as a pullback.
 
-    The target (m0, r1) is checked when the decomposition is built, as
-    `special_divisor_index` checks it, and a bad one raises there.  The
-    resulting `HeegnerIndex` is kept beside the fields, out of equality,
-    hashing and repr, and the round trip and `chow_heegner_divisor` read it
-    instead of checking the target again.  `residual_cusp_ambiguous` is
-    always True: the cusp coefficient of a pullback is defined only up to an
-    integer, so the decomposition leaves the cusp part undetermined, and the
-    round trip compares Heegner coefficients alone.
+    Everything is checked once, when it is built: the target (m0, r1) as
+    `special_divisor_index` checks it, and each term as a pair of an
+    `AmbientGenerator` at this level and an `int` or `Fraction` coefficient;
+    `target` and `terms` are stored as tuples.  The target's `HeegnerIndex`
+    is kept out of equality, hashing and repr, and the round trip and
+    `chow_heegner_divisor` check nothing again.  `residual_cusp_ambiguous`
+    is always True: the cusp coefficient of a pullback is defined only up to
+    an integer, so the round trip compares Heegner coefficients alone.
     """
 
     _fields = ("level", "target", "terms", "residual_cusp_ambiguous")
     _extras = ("_index",)
 
-    def __init__(self, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction], ...]) -> None:
-        self._store(level, target, terms, True, special_divisor_index(level, *target))
+    def __init__(self, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction | int], ...]) -> None:
+        index = special_divisor_index(level, *target)
+        terms = tuple((gen, coeff) for gen, coeff in terms)
+        for gen, coeff in terms:
+            if type(gen) is not AmbientGenerator:
+                raise ValueError("a term must pair an AmbientGenerator with a coefficient")
+            if gen.mu.level != level:
+                raise ValueError("cannot add classes at different levels")
+            _check_rational(coeff)
+        self._store(level, tuple(target), terms, True, index)
 
-    def coefficient(self, gen: AmbientGenerator) -> Fraction:
+    def coefficient(self, gen: AmbientGenerator) -> Fraction | int:
         for g, c in self.terms:
             if g == gen:
                 return c
-        return Fraction(0)
+        return 0
 
 
 def _add_pullback(gen: AmbientGenerator, coeff: int | Fraction, heeg: dict[int, int | Fraction]) -> int | Fraction:
@@ -253,13 +264,12 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     coefficient of Z*(m0 - j, (r1, 0)) is therefore the j-th coefficient of
     1/theta(q^N): the i-th coefficient of 1/theta(q) at j = N*i, and zero
     (no rung) elsewhere.  The Z*(0, 0) coefficient is chosen so the Omega
-    parts cancel, and the cusp part stays ambiguous.  The target key is
-    validated once, on entry, and its index goes to the decomposition, which
-    is built without checking it again; the rungs are built in one loop from
-    their integers 4N*m = 4N*m0 - 4N**2*j, which keep the target's
-    congruence 4N*m + r1**2 = 0 mod 4N, so none is checked again.  The round
-    trip through `verify_decomposition` is linear in the number of pullback
-    terms it sums.
+    parts cancel, and the cusp part stays ambiguous; every coefficient is an
+    `int`.  The target is validated once, on entry, and the decomposition is
+    built from its index without the constructor's checks: each rung, built
+    from 4N*m = 4N*m0 - 4N**2*j, keeps the target's congruence
+    4N*m + r1**2 = 0 mod 4N.  The round trip through `verify_decomposition`
+    is linear in the number of splittings it sums, about L**1.5 for L rungs.
     """
     idx = special_divisor_index(level, m0, r1)
     n, r1, four_nm = level, idx.r, -idx.disc
@@ -268,8 +278,7 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     coeffs = _inverse_theta(-(-four_nm // step))
     mu = DiscElement(n, r1, 0)
     new_gen = AmbientGenerator._from_valid
-    terms = [(new_gen(Fraction(k, four_n), mu, k), Fraction(c))
-             for k, c in zip(range(four_nm, 0, -step), coeffs)]
+    terms = [(new_gen(Fraction(k, four_n), mu, k), c) for k, c in zip(range(four_nm, 0, -step), coeffs)]
     if r1 == 0 and four_nm % step == 0:
         # each rung m = N*t**2 pulls back with -2*Omega per unit coefficient,
         # and Z*(0, 0) pulls back to -2*Omega; such rungs exist only when N | m0
@@ -277,7 +286,7 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
         lam0 = -sum(coeffs[top - t * t] for t in range(1, isqrt(top) + 1))
         if lam0:
             # Z*(0, 0), here mu = (0, 0), keeps m = q(mu) mod 1 at m = 0
-            terms.append((new_gen(_ZERO, mu, 0), Fraction(lam0)))
+            terms.append((new_gen(_ZERO, mu, 0), lam0))
     # the first rung is Z*(m0, (r1, 0)), so its m is the target's m0; idx is the target's index, already taken
     return PullbackDecomposition._from_valid(n, (terms[0][0].m, r1), tuple(terms), True, idx)
 
@@ -285,19 +294,15 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
 def _sum_pullbacks(
     decomp: PullbackDecomposition,
 ) -> tuple[dict[int, dict[int, int | Fraction]], int | Fraction, bool]:
-    """Heegner part as {r1: {4N*m0: coefficient}}, Omega part and cusp ambiguity of the summed terms."""
+    """Heegner part {r1: {4N*m0: coefficient}}, Omega part and cusp ambiguity of terms checked when built.
+
+    They are summed as given, so a ladder's `int` coefficients stay `int`s."""
     by_r1: dict[int, dict[int, int | Fraction]] = {}
     omega: int | Fraction = 0
     ambiguous = False
-    level = decomp.level
     for gen, coeff in decomp.terms:
-        if gen.mu.level != level:
-            raise ValueError("cannot add classes at different levels")
-        if type(coeff) is not Fraction:
-            _check_rational(coeff)
-            coeff = Fraction(coeff)
         heeg = by_r1.setdefault(gen.mu.r1, {})
-        omega += _add_pullback(gen, coeff.numerator if coeff.denominator == 1 else coeff, heeg)
+        omega += _add_pullback(gen, coeff, heeg)
         ambiguous = ambiguous or gen._four_nm != 0
     return by_r1, omega, ambiguous
 
@@ -311,14 +316,13 @@ def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
 def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fraction]:
     """Residual of the round trip on Heegner coefficients; empty means exact.
 
-    The target was validated when the decomposition was built, and its kept
-    index gives r1 mod 2N and the integer 4N*m0.  The pulled-back terms are
-    summed per r1 on such integers, and the target is subtracted there.  The summed keys need no check: every
-    generator was validated when it was built, and each splitting of a valid
-    generator lands on a valid key.  `Fraction` keys and values are built only
-    for the entries returned.  Omega and cusp coefficients are excluded from
-    the comparison: the cusp coefficient of a pullback is undetermined, and
-    the two classes are proportional on the curves in question.
+    The decomposition's kept index gives the target's r1 mod 2N and integer
+    4N*m0.  The terms, checked when it was built, are summed per r1 on such
+    integers, where each splitting of a valid generator lands on a valid key,
+    and the target is subtracted there; `Fraction` keys and values are built
+    only for the entries returned.  Omega and cusp coefficients are excluded:
+    the cusp coefficient of a pullback is undetermined, and the two classes
+    are proportional on the curves in question.
     """
     idx = decomp._index
     by_r1, _, _ = _sum_pullbacks(decomp)

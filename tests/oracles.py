@@ -337,7 +337,8 @@ def inverse_theta_coeffs(level: int, length: int) -> list[int]:
     for j in range(length):
         rhs = Fraction(1 if j == 0 else 0) - sum(theta[i] * inv[j - i] for i in range(1, j + 1))
         inv.append(rhs / theta[0])
-    assert all(c.denominator == 1 for c in inv)
+    if not all(c.denominator == 1 for c in inv):
+        raise AssertionError("1/theta(q^N) has a non-integral coefficient")
     return [int(c) for c in inv]
 
 
@@ -637,7 +638,8 @@ def coset_reps_by_sweep(level: int):
     for p, q in labels:
         pp = p or n  # gcd(p, q) = 1, and (0, 1) is lifted to (N, 1)
         _, y, x_neg = egcd_recursive(pp, q)
-        assert pp * y + x_neg * q == 1
+        if pp * y + x_neg * q != 1:
+            raise AssertionError("egcd(%d, %d) gave no Bezout pair" % (pp, q))
         reps.append(((p, q), ((pp, -x_neg), (q, y))))
     return tuple(reps)
 
@@ -815,7 +817,8 @@ def heegner_divisor_by_local_kernels(idx):
         for p, s in labels:
             _, t, q_neg = egcd_recursive(p or n, s)
             form = transformed(base, ((p or n, -q_neg), (s, t)))
-            assert form.a % n == 0 and (form.b - r) % (2 * n) == 0
+            if form.a % n or (form.b - r) % (2 * n):
+                raise AssertionError("%r breaks N | a, b = r mod 2N at N = %d, r = %d" % (form, n, r))
             classes.append((form, _WEIGHT_OF_SIXTHS[sixths]))
             total_sixths += sixths
     classes.sort(key=lambda cw: (cw[0].a, cw[0].b, cw[0].c))
@@ -892,7 +895,8 @@ def x0_genus_by_formula(n: int) -> int:
     nu3 = 0 if n % 9 == 0 else functools.reduce(lambda acc, p: acc * (1 + _kronecker_minus(3, p)), primes, 1)
     cusps = sum(_phi_by_trial(gcd(d, n // d)) for d in range(1, n + 1) if n % d == 0)
     twelve_g = 12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps
-    assert twelve_g % 12 == 0
+    if twelve_g % 12:
+        raise AssertionError("12g of X_0(%d) is %d, not a multiple of 12" % (n, twelve_g))
     return twelve_g // 12
 
 
@@ -928,7 +932,8 @@ def fricke_quotient_genus_by_fixed_points(n: int) -> int:
     if n % 4 == 3:
         nu += primitive_class_number_by_walk(n)
     numerator = 2 * x0_genus_by_formula(n) + 2 - nu
-    assert numerator % 4 == 0 and numerator >= 0, n
+    if numerator % 4 or numerator < 0:
+        raise AssertionError("4g of X_0(%d)/w is %d, not a multiple of 4 at least 0" % (n, numerator))
     return numerator // 4
 
 
@@ -944,9 +949,11 @@ def fricke_prime_square_genus(p: int) -> int:
     chi4 = _kronecker_minus(4, p)
     nu3 = 0 if p == 3 else 1 + _kronecker_minus(3, p)
     twelve_g0 = 12 + p * (p + 1) - 3 * (1 + chi4) - 4 * nu3 - 6 * (p + 1)
-    assert twelve_g0 % 12 == 0
+    if twelve_g0 % 12:
+        raise AssertionError("12g of X_0(%d**2) is %d, not a multiple of 12" % (p, twelve_g0))
     numerator = 2 * (twelve_g0 // 12) + 2 - (p - chi4) // 2
-    assert numerator % 4 == 0 and numerator >= 0, p
+    if numerator % 4 or numerator < 0:
+        raise AssertionError("4g of X_0(%d**2)/w is %d, not a multiple of 4 at least 0" % (p, numerator))
     return numerator // 4
 
 

@@ -243,6 +243,7 @@ def _r1(m0):
 
 
 def _hand_built(coeff):
+    # a decomposition checks its coefficients when built, before any round trip could sum them
     gen = cyclecert.AmbientGenerator(Fraction(3, 4), cyclecert.DiscElement(1, 1, 0))
     return cyclecert.PullbackDecomposition(1, (Fraction(3, 4), 1), ((gen, coeff),))
 
@@ -257,7 +258,7 @@ RATIONAL_ENTRIES = {
     "DivisorClass_omega": lambda coeff: cyclecert.DivisorClass(1, omega_coeff=coeff),
     "DivisorClass_cusp": lambda coeff: cyclecert.DivisorClass(1, cusp_coeff=coeff),
     "DivisorClass.scaled": lambda factor: cyclecert.DivisorClass(1).scaled(factor),
-    "verify_decomposition": lambda coeff: cyclecert.verify_decomposition(_hand_built(coeff)),
+    "PullbackDecomposition": _hand_built,
     "scalar_rep_count": lambda value: cyclecert.scalar_rep_count(1, value, _r1(value)),
 }
 

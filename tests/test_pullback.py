@@ -330,10 +330,31 @@ def test_round_trip_validates_and_reduces_the_target():
 
 def test_round_trip_rejects_mixed_levels_like_the_oracle():
     dec = decompose_heegner(2, 1, 0)
-    mixed = PullbackDecomposition(dec.level, dec.target, dec.terms + ((gen(1, 1, 0), Fraction(1)),))
-    for round_trip in (verify_decomposition, round_trip_by_divisor_class):
-        with pytest.raises(ValueError, match="different levels"):
-            round_trip(mixed)
+    # a term at another level is refused when the decomposition is built, so no round trip sees it
+    with pytest.raises(ValueError, match="^cannot add classes at different levels$") as built:
+        PullbackDecomposition(dec.level, dec.target, dec.terms + ((gen(1, 1, 0), Fraction(1)),))
+    # with the message the divisor-class algebra gives for the same sum
+    with pytest.raises(ValueError) as summed:
+        pullback_divisor(dec.terms[0][0]) + pullback_divisor(gen(1, 1, 0))
+    assert str(built.value) == str(summed.value)
+
+
+def test_a_decomposition_stores_tuples_and_hashes():
+    dec = decompose_heegner(2, 1, 0)
+    from_lists = PullbackDecomposition(2, [Fraction(1), 0], [[g, c] for g, c in dec.terms])
+    assert type(from_lists.target) is tuple and type(from_lists.terms) is tuple
+    assert all(type(term) is tuple for term in from_lists.terms)
+    assert from_lists == PullbackDecomposition(2, (Fraction(1), 0), dec.terms) == dec
+    assert hash(from_lists) == hash(dec) and len({from_lists, dec}) == 1
+
+
+def test_ladder_coefficients_are_ints():
+    for level, scaled, r1 in _targets(10, 400):
+        dec = decompose_heegner(level, Fraction(scaled, 4 * level), r1)
+        assert all(type(c) is int for _, c in dec.terms), (level, scaled, r1)
+    absent = gen(1, 1, 0)
+    assert decompose_heegner(1, Fraction(3, 4), 1).coefficient(absent) == 0
+    assert type(decompose_heegner(1, Fraction(3, 4), 1).coefficient(absent)) is int
 
 
 def test_round_trip_subtracts_a_target_the_terms_miss():

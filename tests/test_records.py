@@ -1,6 +1,7 @@
 """The value records: repr, equality, hashing and immutability over their fields."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,7 +62,7 @@ RECORDS = [
     (
         lambda: decompose_heegner(1, Fraction(3, 4), 1),
         "PullbackDecomposition(level=1, target=(Fraction(3, 4), 1), terms=((AmbientGenerator(m=Fraction(3, 4), "
-        "mu=DiscElement(level=1, r1=1, r2=0)), Fraction(1, 1)),), residual_cusp_ambiguous=True)",
+        "mu=DiscElement(level=1, r1=1, r2=0)), 1),), residual_cusp_ambiguous=True)",
     ),
 ]
 IDS = [expected.split("(", 1)[0] for _, expected in RECORDS]
@@ -166,6 +167,11 @@ def test_ambient_generator_congruence_message_is_pinned():
     assert str(info.value) == "m = 1/7 violates m = q(mu) mod 1 for mu = DiscElement(level=3, r1=1, r2=0)"
 
 
+def _decomposition(term):
+    """A level-1 decomposition of Heeg(3/4, 1) built with the one term given."""
+    return PullbackDecomposition(1, (Fraction(3, 4), 1), (term,))
+
+
 @pytest.mark.parametrize(
     "make,message",
     [
@@ -197,6 +203,15 @@ def test_ambient_generator_congruence_message_is_pinned():
         (lambda: decompose_heegner(1, Fraction(3, 4), True), "^r1 must be an integer$"),
         (lambda: DiscElement(2, 1.0, 0), "^r1 and r2 must be integers$"),
         (lambda: DiscElement(2, 1, False), "^r1 and r2 must be integers$"),
+        (lambda: DivisorClass(1, cusp_ambiguous="no"), "^cusp_ambiguous must be a bool$"),
+        (lambda: AmbientGenerator(Fraction(3, 4), SimpleNamespace(level=1, r1=1, r2=0)), "^mu must be a DiscElement$"),
+        (lambda: BQForm(1.5, "x", None), "^a, b and c must be integers$"),
+        (lambda: BQForm(1, True, 1), "^a, b and c must be integers$"),
+        (lambda: _decomposition(("x", 1)), "^a term must pair an AmbientGenerator with a coefficient$"),
+        (
+            lambda: _decomposition((AmbientGenerator(Fraction(7, 8), DiscElement(2, 1, 0)), 1)),
+            "^cannot add classes at different levels$",
+        ),
     ],
 )
 def test_construction_still_validates(make, message):
