@@ -37,9 +37,11 @@ _PROFILE_MAX_LEVEL = 60
 class Certificate(_Record):
     """The clause that fired for a level, with its witnesses, profile and justification.
 
-    The level passes `arith._check_level` and the clause is one of the five
-    `CLAUSE_*` values, else ValueError.  The verdict follows from the
-    clause: "unknown" when it is "none", and "proven_nontrivial" otherwise.
+    The level passes `arith._check_level`, the clause is one of the five
+    `CLAUSE_*` values, the witnesses a tuple of dicts, the profile a
+    `CurveProfile` or None and the justification a `str`, else ValueError.
+    The verdict follows from the clause: "unknown" when it is "none", and
+    "proven_nontrivial" otherwise.
     """
 
     _fields = ("level", "verdict", "clause", "witnesses", "curve_profile", "justification")
@@ -55,6 +57,12 @@ class Certificate(_Record):
         _check_level(level)
         if clause not in _CLAUSES:
             raise ValueError("clause must be one of %s, not %r" % (", ".join(_CLAUSES), clause))
+        if type(witnesses) is not tuple or not all(type(w) is dict for w in witnesses):
+            raise ValueError("witnesses must be a tuple of dicts")
+        if curve_profile is not None and type(curve_profile) is not CurveProfile:
+            raise ValueError("curve_profile must be a CurveProfile or None")
+        if type(justification) is not str:
+            raise ValueError("justification must be a string")
         verdict = VERDICT_UNKNOWN if clause == CLAUSE_NONE else VERDICT_PROVEN
         self._store(level, verdict, clause, witnesses, curve_profile, justification)
 

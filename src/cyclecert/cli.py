@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import heegner as heegner_mod
 from . import modcurves
@@ -41,9 +41,8 @@ def _frac(text: str) -> Fraction:
 
 
 def schema_text() -> str:
-    return (resources.files(__package__) / "schemas" / "output.schema.json").read_text(
-        encoding="utf-8"
-    )
+    with open(os.path.join(os.path.dirname(__file__), "schemas", "output.schema.json"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _lattice_payload(lat) -> dict:

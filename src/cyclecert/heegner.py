@@ -178,13 +178,24 @@ class HeegnerIndex(_Record):
 class HeegnerDivisor(_Record):
     """Classes of a Heegner divisor with their weights, and its degree, the weights' sum.
 
-    `self_paired` is the index's `self_paired()`.  The degree is given, not
-    summed here: the enumeration adds the weights as integer sixths.
+    The index is a `HeegnerIndex`, the classes a tuple of (`BQForm`, weight)
+    pairs, and each weight and the degree an `int` or a `Fraction`, else
+    ValueError.  `self_paired` is the index's `self_paired()`.  The degree is
+    given, not summed here: the enumeration adds the weights as integer sixths.
     """
 
     _fields = ("index", "classes", "degree", "self_paired")
 
     def __init__(self, index: HeegnerIndex, classes: tuple[tuple[BQForm, Fraction], ...], degree: Fraction) -> None:
+        if type(index) is not HeegnerIndex:
+            raise ValueError("index must be a HeegnerIndex")
+        if type(classes) is not tuple or not all(
+            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is BQForm for pair in classes
+        ):
+            raise ValueError("classes must be a tuple of (BQForm, weight) pairs")
+        for _, weight in classes:
+            _check_rational(weight)
+        _check_rational(degree)
         self._store(index, classes, degree, index.self_paired())
 
 
@@ -294,7 +305,7 @@ def enumerate_heegner_divisor(idx: HeegnerIndex) -> HeegnerDivisor:
             raise RuntimeError("%r: representative [%d, %d, .] breaks N | a, b = r mod 2N" % (idx, a, b))
         classes.append((new_form(a, b, c), _WEIGHTS[w]))
         total += w
-    return HeegnerDivisor(index=idx, classes=tuple(classes), degree=Fraction(total, 6))
+    return HeegnerDivisor._from_valid(idx, tuple(classes), Fraction(total, 6), idx.self_paired())
 
 
 def special_divisor_index(level: int, m0: Fraction | int, r1: int) -> HeegnerIndex:

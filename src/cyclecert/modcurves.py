@@ -37,15 +37,20 @@ def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
 class CurveProfile(arith._Record):
     """Index, elliptic-point and cusp counts of a modular curve, and the genus they give.
 
-    The level passes `arith._check_level`.  The genus comes from the
-    Riemann-Hurwitz formula; counts that give no nonnegative integer genus
+    The label is a `str`, the level passes `arith._check_level` and the
+    counts are `int`s, not `bool`s, else ValueError.  The genus comes from
+    the Riemann-Hurwitz formula; counts that give no nonnegative integer genus
     raise ValueError.
     """
 
     _fields = ("label", "level", "index", "nu2", "nu3", "cusps", "genus")
 
     def __init__(self, label: str, level: int, index: int, nu2: int, nu3: int, cusps: int) -> None:
+        if type(label) is not str:
+            raise ValueError("label must be a string")
         arith._check_level(level)
+        if {type(index), type(nu2), type(nu3), type(cusps)} != {int}:
+            raise ValueError("index, nu2, nu3 and cusps must be integers")
         self._store(label, level, index, nu2, nu3, cusps, _genus(index, nu2, nu3, cusps))
 
 

@@ -6,8 +6,10 @@ normalization serves every source and rejects a record of another level than
 the one read.  The online path runs under one lock per client, one rate-limited
 fetch at a time, and writes the cache atomically, best effort.  The offline
 path is module functions of the cache and fixtures directories alone, with no
-lock: the cache, then the fixtures or the bundled snapshot, which is listed
-once per process and parsed per level on first use.
+lock: the cache, then the fixtures or the bundled snapshot.  The snapshot is
+the package's own fixtures directory, read by path through the same reader as
+a fixtures override, and is listed once per process and parsed per level on
+first use.
 Corrupt cache files are quarantined, never deleted.
 """
 
@@ -16,10 +18,8 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 import threading
 import time
-from importlib import resources
 
 from . import arith
 
@@ -60,6 +60,8 @@ class NewformRecord(arith._Record):
         # type(), not isinstance(): a JSON true, 2.0 or "1" is no integer
         if type(label) is not str:
             raise ValueError("label must be a string")
+        if type(source) is not str:
+            raise ValueError("source must be a string")
         arith._check_level(level)
         if {type(weight), type(fricke_sign), type(analytic_rank)} != {int}:
             raise ValueError("weight, fricke_sign and analytic_rank must be integers")
@@ -104,27 +106,21 @@ def _records(raws: object, level: int, source: str) -> list[NewformRecord]:
     return records
 
 
-def _fixture_dir():
-    return resources.files(__package__) / "fixtures"
+# the bundled snapshot: a fixtures directory inside the installed package
+_BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def _levels_named(names) -> set[int]:
-    """Levels M >= 1 of the file names `level_<M>.json`, M written as str(M); any other name is skipped."""
+def _listed_levels(directory: str) -> set[int]:
+    """Levels M >= 1 of the files `level_<M>.json` in a directory, M written as str(M); empty for no directory."""
+    if not os.path.isdir(directory):
+        return set()
     levels = set()
-    for name in names:
+    for name in os.listdir(directory):
         if name.startswith("level_") and name.endswith(".json"):
             digits = name[len("level_") : -len(".json")]
             if digits.isascii() and digits.isdigit() and digits[0] != "0":
                 levels.add(int(digits))
     return levels
-
-
-def _fixture_records(data: bytes, level: int) -> list[NewformRecord]:
-    try:
-        raws = json.loads(data)["records"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
-    return _records(raws, level, "fixture")
 
 
 # The bundled snapshot is part of the installed package, so it is listed once
@@ -133,15 +129,14 @@ def _fixture_records(data: bytes, level: int) -> list[NewformRecord]:
 @functools.lru_cache(maxsize=1)
 def fixture_levels() -> tuple[int, ...]:
     """Levels covered by the bundled fixture snapshot, in increasing order."""
-    return tuple(sorted(_levels_named(entry.name for entry in _fixture_dir().iterdir())))
+    return tuple(sorted(_listed_levels(_BUNDLED_DIR)))
 
 
 @functools.lru_cache(maxsize=None)
 def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
     # called for levels in fixture_levels() only, which bounds the cache;
     # kept in label order, so a scan's first hit is its least-labelled one
-    data = (_fixture_dir() / ("level_%d.json" % level)).read_bytes()
-    return tuple(_fixture_records(data, level))
+    return tuple(_read_fixture(_BUNDLED_DIR, level) or ())
 
 
 def _cache_path(cache_dir: str, level: int) -> str:
@@ -179,40 +174,35 @@ def _quarantine(path: str) -> None:
         return
 
 
-def _read_fixture(fixtures_dir: str | None, level: int) -> list[NewformRecord] | None:
-    if not fixtures_dir:
-        return list(_bundled_records(level)) if level in fixture_levels() else None
+def _read_fixture(fixtures_dir: str, level: int) -> list[NewformRecord] | None:
     path = os.path.join(fixtures_dir, "level_%d.json" % level)
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            raws = json.load(fh)["records"]
     except FileNotFoundError:
         return None
-    except OSError as exc:
-        # present but unreadable (a directory, no permission)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # present but unreadable (a directory, no permission) or undecodable
         raise PayloadError("fixture for level %d is unreadable: %s" % (level, exc)) from exc
-    return _fixture_records(data, level)
+    return _records(raws, level, "fixture")
 
 
 def _read_offline(cache_dir: str | None, fixtures_dir: str | None, level: int) -> list[NewformRecord]:
-    """Records for one level from the cache, else the fixtures; empty when neither covers it."""
+    """Records for one level from the cache, else the fixtures or the bundled snapshot; empty when none covers it."""
     records = _read_cache(cache_dir, level) if cache_dir else None
     if records is None:
-        records = _read_fixture(fixtures_dir, level)
+        if fixtures_dir:
+            records = _read_fixture(fixtures_dir, level)
+        elif level in fixture_levels():
+            records = list(_bundled_records(level))
     return records or []
 
 
 def _offline_levels(cache_dir: str | None, fixtures_dir: str | None) -> set[int]:
     """Levels with a cache entry or a fixture: the bundled snapshot's unless a fixtures dir replaces it."""
-    if not fixtures_dir:
-        levels = set(fixture_levels())
-    elif os.path.isdir(fixtures_dir):
-        levels = _levels_named(os.listdir(fixtures_dir))
-    else:
-        levels = set()
-    cache_root = os.path.join(cache_dir, "newforms") if cache_dir else None
-    if cache_root and os.path.isdir(cache_root):
-        levels |= _levels_named(os.listdir(cache_root))
+    levels = _listed_levels(fixtures_dir) if fixtures_dir else set(fixture_levels())
+    if cache_dir:
+        levels |= _listed_levels(os.path.join(cache_dir, "newforms"))
     return levels
 
 
@@ -294,6 +284,9 @@ class NewformClient:
             "level": level,
             "records": [{name: getattr(r, name) for name in r._fields if name != "source"} for r in records],
         }
+        # imported here so that only the online path pays for it
+        import tempfile
+
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")

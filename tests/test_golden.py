@@ -73,6 +73,10 @@ ERROR_ARGVS = (
 )
 
 
+# the settings that could point an offline newform read elsewhere than the bundled snapshot
+_NEWFORM_SETTINGS = ("BASE_URL", "CACHE_DIR", "TIMEOUT_MS")
+
+
 def _handler_outputs(argv, cases):
     """Default JSON stdout of each case, from `argv` parsed once with the case's attributes set."""
 
@@ -98,6 +102,19 @@ def _error_outputs(parser):
         yield json.dumps({"argv": argv, "exit": code, "stderr": err}, sort_keys=True) + "\n"
 
 
+def _offline_newforms(parser):
+    """`newforms M` offline for every M <= 400, with `_NEWFORM_SETTINGS` unset.
+
+    That is every level of the bundled snapshot, the largest 343, and the
+    levels around them that it does not cover, which print no records.
+    """
+    saved = {name: os.environ.pop(name) for name in _NEWFORM_SETTINGS if name in os.environ}
+    try:
+        yield from _handler_outputs(["newforms", "1"], lambda: ({"M": m} for m in range(1, 401)))(parser)
+    finally:
+        os.environ.update(saved)
+
+
 # group -> the text of its invocations, given the parser built once
 GROUPS = {
     "genus_x0": _handler_outputs(["genus", "1", "--curve", "x0"], lambda: ({"N": n} for n in range(1, 3001))),
@@ -108,6 +125,8 @@ GROUPS = {
     "certify": _handler_outputs(["certify", "1"], lambda: ({"N": n} for n in range(1, 2001))),
     "lattice": _handler_outputs(["lattice", "1"], lambda: ({"N": n} for n in range(1, 1001))),
     "errors": _error_outputs,
+    "newforms": _offline_newforms,
+    "selftest": _handler_outputs(["selftest"], lambda: ({},)),
 }
 
 

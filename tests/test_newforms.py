@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -226,10 +227,10 @@ def test_http_failures_are_transient(monkeypatch, urlopen):
         client.fetch_newforms(37, mode="online")
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+def _run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(cyclecert.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
 
 
 def test_cli_import_loads_no_http_stack():
@@ -247,6 +248,22 @@ def test_cli_process_loads_neither_dataclasses_nor_inspect():
         "print(code, sorted(slow & set(sys.modules)), file=sys.stderr)\n"
     )
     out = _run_python(code)
+    assert json.loads(out.stdout)["verdict"] == "proven_nontrivial"
+    assert out.stderr.splitlines() == ["[]", "0 []"]
+
+
+def test_cli_reads_its_data_files_by_path():
+    # -S: no site .pth file imports these first, so the package's own imports show;
+    # the bundled snapshot and the schema are files in the package, read with os
+    code = (
+        "import json, sys, cyclecert.cli\n"
+        "unused = {'importlib.resources', 'pathlib', 'tempfile'}\n"
+        "print(sorted(unused & set(sys.modules)), file=sys.stderr)\n"
+        "json.loads(cyclecert.cli.schema_text())\n"
+        "code = cyclecert.cli.main(['certify', '1000000007'])\n"
+        "print(code, sorted(unused & set(sys.modules)), file=sys.stderr)\n"
+    )
+    out = _run_python(code, "-S")
     assert json.loads(out.stdout)["verdict"] == "proven_nontrivial"
     assert out.stderr.splitlines() == ["[]", "0 []"]
 
@@ -437,8 +454,7 @@ def test_offline_scan_matches_divisor_scan_oracle_on_smooth_levels():
 
 
 def _snapshot_copy(directory):
-    for entry in newforms_mod._fixture_dir().iterdir():
-        (directory / entry.name).write_bytes(entry.read_bytes())
+    shutil.copytree(newforms_mod._BUNDLED_DIR, directory, dirs_exist_ok=True)
     return directory
 
 
@@ -640,19 +656,29 @@ def test_records_that_are_no_array_are_malformed(tmp_path, monkeypatch):
 
 
 def test_malformed_bundled_level_makes_the_witness_indeterminate(tmp_path, monkeypatch):
-    snapshot = _snapshot_copy(tmp_path)
-    (snapshot / "level_37.json").write_text("{not json", encoding="utf-8")
-    copy_client = NewformClient(fixtures_dir=str(snapshot))
-    monkeypatch.setattr(newforms_mod, "_fixture_dir", lambda: snapshot)
-    newforms_mod._bundled_records.cache_clear()
-    try:
-        for client in (None, copy_client):
-            with pytest.raises(WitnessIndeterminate, match="malformed data at level 37: "):
-                witness_minus_rank1(74, client=client)
-            assert witness_minus_rank1(128, client=client)[0] == 128
-    finally:
-        # parsed under the replaced directory: parse again from the package
+    # undecodable, or unreadable (a directory in its place): either way certify keeps its arithmetic clauses
+    spoilers = {
+        "not_json": lambda path: path.write_text("{not json", encoding="utf-8"),
+        "directory": os.mkdir,
+    }
+    for name, spoil in spoilers.items():
+        snapshot = _snapshot_copy(tmp_path / name)
+        (snapshot / "level_37.json").unlink()
+        spoil(snapshot / "level_37.json")
+        copy_client = NewformClient(fixtures_dir=str(snapshot))
+        monkeypatch.setattr(newforms_mod, "_BUNDLED_DIR", str(snapshot))
         newforms_mod._bundled_records.cache_clear()
+        try:
+            for client in (None, copy_client):
+                with pytest.raises(WitnessIndeterminate, match="malformed data at level 37: "):
+                    witness_minus_rank1(74, client=client)
+                assert witness_minus_rank1(128, client=client)[0] == 128
+                cert = certify(74, newform_source=client)
+                assert cert.clause == "A1_prime", name
+                assert "analytic clause not evaluated: malformed data at level 37: " in cert.justification
+        finally:
+            # parsed under the replaced directory: parse again from the package
+            newforms_mod._bundled_records.cache_clear()
 
 
 def test_offline_scan_visits_cache_levels_outside_the_snapshot(tmp_path, monkeypatch):

@@ -212,6 +212,20 @@ def _decomposition(term):
             lambda: _decomposition((AmbientGenerator(Fraction(7, 8), DiscElement(2, 1, 0)), 1)),
             "^cannot add classes at different levels$",
         ),
+        (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), [("x", 0.5)], 0.5), "^classes must be a tuple of"),
+        (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), (("x", Fraction(1, 2)),), 0), "^classes must be a tuple of"),
+        (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), ((BQForm(1, 0, 1),),), 0), "^classes must be a tuple of"),
+        (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), ((BQForm(1, 0, 1), 0.5),), 0), "^a rational value must be"),
+        (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), (), 0.5), "^a rational value must be"),
+        (lambda: HeegnerDivisor((1, -4, 0), (), 0), "^index must be a HeegnerIndex$"),
+        (lambda: CurveProfile("x0", 11, 12.0, 0, 0, 2), "^index, nu2, nu3 and cusps must be integers$"),
+        (lambda: CurveProfile("x0", 11, 12, False, 0, 2), "^index, nu2, nu3 and cusps must be integers$"),
+        (lambda: CurveProfile(7, 11, 12, 0, 0, 2), "^label must be a string$"),
+        (lambda: NewformRecord(11, "a", 2, 1, 0, 5), "^source must be a string$"),
+        (lambda: Certificate(5, "none", [], None, ""), "^witnesses must be a tuple of dicts$"),
+        (lambda: Certificate(5, "none", ("w",), None, ""), "^witnesses must be a tuple of dicts$"),
+        (lambda: Certificate(5, "none", (), "profile", ""), "^curve_profile must be a CurveProfile or None$"),
+        (lambda: Certificate(5, "none", (), None, 7), "^justification must be a string$"),
     ],
 )
 def test_construction_still_validates(make, message):
