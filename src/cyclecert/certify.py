@@ -82,11 +82,10 @@ def certify(
 
     The curve profile is attached for n <= 60 only, computed from the
     factorization already taken; above that the justification notes it as
-    omitted.  Offline mode builds no client and reads only the cache and
-    fixtures directories (see `witness_minus_rank1`), so no other setting can
-    fail the call.  An unknown mode raises ValueError on entry.  An
-    unavailable or failing newform source degrades the analytic clause to
-    "not evaluated"; it never fails the call.
+    omitted.  The call reads no environment, and offline only the newform
+    source's directories (see `witness_minus_rank1`).  An unknown mode raises
+    ValueError on entry.  An unavailable or failing newform source, the default
+    one online too, leaves the analytic clause "not evaluated"; it never fails the call.
     """
     _check_level(n)
     _check_mode(mode)

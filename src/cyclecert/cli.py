@@ -130,24 +130,26 @@ def _cmd_genus(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _client_from_args(args) -> newforms_mod.NewformClient:
-    kwargs = {}
-    if getattr(args, "fixtures", None):
-        kwargs["fixtures_dir"] = args.fixtures
+def _client_from_args(args) -> tuple[newforms_mod.NewformClient, str]:
+    """The client and mode of `newforms` and `certify`: the one place that reads settings.
+
+    --config first, then a nonempty CACHE_DIR, BASE_URL or TIMEOUT_MS over its key; only --online passes the
+    online settings, so an offline client is built from the cache dir and --fixtures alone."""
+    settings = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
             raise ValueError("config must be a JSON object")
-        for key in ("base_url", "cache_dir", "timeout_ms", "rate_limit_per_sec"):
-            if key in cfg:
-                kwargs[key] = cfg[key]
-    return newforms_mod.NewformClient(**kwargs)
+    keys = ("cache_dir", "base_url", "timeout_ms", "rate_limit_per_sec") if args.online else ("cache_dir",)
+    env = (("cache_dir", "CACHE_DIR", str), ("base_url", "BASE_URL", str), ("timeout_ms", "TIMEOUT_MS", int))
+    settings.update((key, parse(os.environ[name])) for key, name, parse in env if key in keys and os.environ.get(name))
+    kwargs = {key: settings[key] for key in keys if key in settings}
+    return newforms_mod.NewformClient(fixtures_dir=args.fixtures, **kwargs), ("online" if args.online else "offline")
 
 
 def _cmd_newforms(args) -> tuple[dict, int]:
-    client = _client_from_args(args)
-    mode = "online" if args.online else "offline"
+    client, mode = _client_from_args(args)
     records = client.fetch_newforms(args.M, mode=mode)
     out = {
         "kind": "newforms",
@@ -159,8 +161,7 @@ def _cmd_newforms(args) -> tuple[dict, int]:
 
 
 def _cmd_certify(args) -> tuple[dict, int]:
-    client = _client_from_args(args)
-    mode = "online" if args.online else "offline"
+    client, mode = _client_from_args(args)
     cert = run_certify(args.N, newform_source=client, mode=mode)
     out = {
         "kind": "certificate",

@@ -1,16 +1,14 @@
 """Client for weight-2 newform analytic data: HTTP fetch, local cache, bundled fixtures.
 
-Records carry the level, an opaque label, the sign of the functional equation
-and the analytic rank, and type-check their fields with no coercion; one
-normalization serves every source and rejects a record of another level than
-the one read.  The online path runs under one lock per client, one rate-limited
-fetch at a time, and writes the cache atomically, best effort.  The offline
-path is module functions of the cache and fixtures directories alone, with no
-lock: the cache, then the fixtures or the bundled snapshot.  The snapshot is
-the package's own fixtures directory, read by path through the same reader as
-a fixtures override, and is listed once per process and parsed per level on
-first use.
-Corrupt cache files are quarantined, never deleted.
+Records type-check their fields with no coercion; one normalization serves
+every source and rejects a record of another level than the one read.  The
+online path runs under one lock per client, one rate-limited fetch at a time,
+and writes the cache atomically, best effort.  The offline path is module
+functions of the cache and fixtures directories alone, with no lock: the
+cache, then the fixtures or the bundled snapshot, the package's own fixtures
+directory, listed once per process and parsed per level on first use.  Every
+setting is an argument; the module reads no environment.  Corrupt cache files
+are quarantined, never deleted.
 """
 
 from __future__ import annotations
@@ -24,10 +22,6 @@ import time
 from . import arith
 
 CACHE_SCHEMA_VERSION = 1
-
-ENV_BASE_URL = "BASE_URL"
-ENV_CACHE_DIR = "CACHE_DIR"
-ENV_TIMEOUT_MS = "TIMEOUT_MS"
 
 
 class TransientFetchError(RuntimeError):
@@ -162,16 +156,24 @@ def _read_cache(cache_dir: str, level: int) -> list[NewformRecord] | None:
 
 
 def _quarantine(path: str) -> None:
-    target = path + ".corrupt"
-    suffix = 0
-    while os.path.exists(target):
-        suffix += 1
-        target = "%s.corrupt.%d" % (path, suffix)
+    """Move a corrupt cache file to the first free name of `.corrupt`, `.corrupt.1`, ...
+
+    Each name is claimed by an exclusive create, so no two readers pick one and none is
+    overwritten.  One window remains: the file moved may be a good one written after this read.
+    """
+    target, suffix = path + ".corrupt", 0
+    while True:
+        try:
+            os.close(os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            break
+        except FileExistsError:
+            suffix += 1
+            target = "%s.corrupt.%d" % (path, suffix)
     try:
         os.replace(path, target)
     except FileNotFoundError:
-        # another process moved the corrupt file away first
-        return
+        # another reader moved the corrupt file away first: give the name back
+        os.unlink(target)
 
 
 def _read_fixture(fixtures_dir: str, level: int) -> list[NewformRecord] | None:
@@ -210,8 +212,8 @@ class NewformClient:
     """Fetches and caches newform records; safe to share across threads.
 
     Online fetches run one at a time under one lock, which also guards the
-    memo, so a client fetches a level once.  The settings are checked once,
-    here, after the environment overrides: a malformed one raises ValueError.
+    memo, so a client fetches a level once.  The arguments are kept as given
+    and checked once, here: a malformed one raises ValueError.
     """
 
     def __init__(
@@ -225,17 +227,16 @@ class NewformClient:
         monotonic=time.monotonic,
         sleep=time.sleep,
     ):
-        self.base_url = os.environ.get(ENV_BASE_URL, base_url)
-        self.cache_dir = os.environ.get(ENV_CACHE_DIR, cache_dir)
-        env_timeout = os.environ.get(ENV_TIMEOUT_MS)
-        self.timeout_ms = int(env_timeout) if env_timeout else timeout_ms
+        self.base_url = base_url
+        self.cache_dir = cache_dir
+        self.timeout_ms = timeout_ms
         self.rate_limit_per_sec = rate_limit_per_sec
         self.fixtures_dir = fixtures_dir
         for name in ("base_url", "cache_dir", "fixtures_dir"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError("%s must be a string or null" % name)
         # type(), not isinstance(): a JSON true is no count or rate
-        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
+        if type(timeout_ms) is not int or timeout_ms <= 0:
             raise ValueError("timeout_ms must be a positive integer")
         if type(rate_limit_per_sec) not in (int, float) or not rate_limit_per_sec > 0:
             raise ValueError("rate_limit_per_sec must be a positive number")
@@ -250,7 +251,7 @@ class NewformClient:
 
     def _http_fetch_json(self, level: int):
         if not self.base_url:
-            raise TransientFetchError("no base URL configured (set %s)" % ENV_BASE_URL)
+            raise TransientFetchError("no base URL configured")
         # imported here so that only the online path pays for it
         import urllib.parse
         import urllib.request
@@ -340,21 +341,19 @@ def witness_minus_rank1(
     higher have vanishing central derivative and are not witnesses.  Offline
     mode walks the levels that have local data (cache and fixtures) and keeps
     those dividing n, so it needs no factorization of n; levels with no local
-    data answer "no records" anyway.  It reads only the two directories, the
-    client's or, with no client, CACHE_DIR alone, and builds no client; with
-    neither directory it scans the bundled snapshot's parsed records.  Online
-    mode builds the default NewformClient when given none, and scans every
-    divisor of n, from a complete factorization.  Fetch failures and
-    malformed data raise WitnessIndeterminate, which is distinct from a
-    definite None.  n is a level, so anything but an `int` (not a `bool`)
-    of at least 1 raises ValueError on entry (`arith._check_level`).
+    data answer "no records" anyway.  It reads only the client's directories;
+    with neither, or no client, it scans the bundled snapshot's parsed records.
+    Online mode scans every divisor of n, from a complete factorization, with
+    the default NewformClient, which has no endpoint, when given none.  Fetch
+    failures and malformed data raise WitnessIndeterminate, which is distinct
+    from a definite None.  n is a level, so anything but an `int` (not a
+    `bool`) of at least 1 raises ValueError on entry (`arith._check_level`).
     """
     arith._check_level(n)
     if mode == "offline":
-        dirs = (os.environ.get(ENV_CACHE_DIR), None) if client is None else (client.cache_dir, client.fixtures_dir)
-        if any(dirs):
-            scan = sorted(_offline_levels(*dirs))
-            read = functools.partial(_read_offline, *dirs)
+        if client is not None and (client.cache_dir or client.fixtures_dir):
+            scan = sorted(_offline_levels(client.cache_dir, client.fixtures_dir))
+            read = functools.partial(_read_offline, client.cache_dir, client.fixtures_dir)
         else:
             scan, read = fixture_levels(), _bundled_records
     else:

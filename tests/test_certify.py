@@ -168,22 +168,18 @@ def test_each_level_is_factored_once(monkeypatch):
     assert profiles == [cover_profile(n) for n in range(1, 61)]
 
 
-def test_offline_certificate_ignores_settings_it_never_reads(monkeypatch, capsys):
-    from cyclecert.cli import EXIT_ERROR, main
-
-    monkeypatch.delenv("CACHE_DIR", raising=False)
-    monkeypatch.delenv("TIMEOUT_MS", raising=False)
+def test_offline_certificate_ignores_settings_it_never_reads(monkeypatch):
     expected = [certify(n) for n in (1, 74, 128, 6 * 9001)]
+    monkeypatch.setenv("CACHE_DIR", "/nonexistent")
     monkeypatch.setenv("TIMEOUT_MS", "soon")
     monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
     assert [certify(n) for n in (1, 74, 128, 6 * 9001)] == expected
-    # a client is built, and its settings checked, wherever one is used
-    with pytest.raises(ValueError):
-        NewformClient()
-    with pytest.raises(ValueError):
-        certify(74, mode="online")
-    assert main(["certify", "74"]) == EXIT_ERROR
-    assert "error: " in capsys.readouterr().err
+    # the library reads no setting: the default client has no endpoint, so the analytic clause degrades
+    client = NewformClient()
+    assert (client.base_url, client.cache_dir, client.timeout_ms) == (None, None, 10000)
+    cert = certify(74, mode="online")
+    assert cert.clause == CLAUSE_A1
+    assert "analytic clause not evaluated: fetch failed at level 1: no base URL configured" in cert.justification
 
 
 def test_rejects_nonpositive_level():
@@ -203,10 +199,9 @@ def test_malformed_newform_data_degrades_to_arithmetic_clauses(tmp_path):
         assert "analytic clause not evaluated: malformed data at level 1" in unknown.justification
 
 
-def test_stray_fixture_name_does_not_fail_certify(tmp_path, monkeypatch):
+def test_stray_fixture_name_does_not_fail_certify(tmp_path):
     # no level is named: level_0 would divide n by zero, level_-2 divides every even n,
     # and level_007 and level_1_0 are not the files read for 7 and 10
-    monkeypatch.delenv("CACHE_DIR", raising=False)
     fixtures, cache = tmp_path / "fixtures", tmp_path / "cache" / "newforms"
     for directory in (fixtures, cache):
         directory.mkdir(parents=True)
@@ -214,22 +209,19 @@ def test_stray_fixture_name_does_not_fail_certify(tmp_path, monkeypatch):
             (directory / name).write_text(json.dumps({"schema_version": 1, "records": []}), encoding="utf-8")
     sources = [NewformClient(fixtures_dir=str(fixtures)), NewformClient(cache_dir=str(cache.parent)), None]
     for client in sources:
-        if client is None:
-            monkeypatch.setenv("CACHE_DIR", str(cache.parent))
         cert = certify(74, newform_source=client)
         assert cert.clause == CLAUSE_A1 and "not evaluated" not in cert.justification
         assert certify(35, newform_source=client).verdict == VERDICT_UNKNOWN
 
 
-def test_cache_record_of_another_level_is_no_witness(tmp_path, monkeypatch):
+def test_cache_record_of_another_level_is_no_witness(tmp_path):
     # a level-37 cache file holding a level-11 record is quarantined, not served as the level-37 witness
     cache = tmp_path / "newforms"
     cache.mkdir()
     record = {"level": 11, "label": "11.2.a.a", "weight": 2, "fricke_sign": -1, "analytic_rank": 1}
     payload = {"schema_version": 1, "level": 37, "records": [record]}
     (cache / "level_37.json").write_text(json.dumps(payload), encoding="utf-8")
-    monkeypatch.setenv("CACHE_DIR", str(tmp_path))
-    witness = certify(370).witnesses[-1]
+    witness = certify(370, newform_source=NewformClient(cache_dir=str(tmp_path))).witnesses[-1]
     assert (witness["level"], witness["label"], witness["data_source"]) == (37, "37.2.a.a", "fixture")
     assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
 

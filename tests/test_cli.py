@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -194,6 +197,28 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, cfg, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def _cli_process(*argv, **settings):
+    # a process of its own, whose environment holds exactly the newform settings given
+    import cyclecert
+
+    src = os.path.dirname(os.path.dirname(cyclecert.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("BASE_URL", "CACHE_DIR", "TIMEOUT_MS")}
+    env.update(settings, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "cyclecert.cli", *argv], env=env, capture_output=True, text=True)
+
+
+def test_a_malformed_online_setting_fails_only_an_online_call():
+    malformed = {"TIMEOUT_MS": "soon", "BASE_URL": "ftp://nowhere.invalid"}
+    for argv in (["certify", "128"], ["newforms", "37"]):
+        plain, offline = _cli_process(*argv), _cli_process(*argv, **malformed)
+        assert plain.returncode == EXIT_OK and plain.stdout
+        assert (offline.returncode, offline.stdout, offline.stderr) == (EXIT_OK, plain.stdout, "")
+    # with no BASE_URL a fetch could not start, and TIMEOUT_MS is refused before any
+    online = _cli_process("certify", "128", "--online", TIMEOUT_MS="soon")
+    assert (online.returncode, online.stdout) == (EXIT_ERROR, "")
+    assert online.stderr.startswith("error: ") and online.stderr.count("\n") == 1
 
 
 def test_every_fixture_level_serves_valid_json(capsys):

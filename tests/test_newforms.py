@@ -189,8 +189,6 @@ class _Response:
 
 
 def _online_client(monkeypatch, urlopen):
-    for name in ("BASE_URL", "CACHE_DIR", "TIMEOUT_MS"):
-        monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     return NewformClient(base_url="http://newforms.test/api", timeout_ms=2500, rate_limit_per_sec=1e6)
 
@@ -227,10 +225,86 @@ def test_http_failures_are_transient(monkeypatch, urlopen):
         client.fetch_newforms(37, mode="online")
 
 
-def _run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+def _python_env() -> dict:
     src = os.path.dirname(os.path.dirname(cyclecert.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-c", code], env=_python_env(), capture_output=True, text=True, check=True)
+
+
+# One process of the quarantine stress test: after the "go" line on stdin, a
+# bounded loop of fetch writes, corrupt writes and reads of level 37 in one
+# cache directory.  Writes hold a lock and never replace a corrupt file, so
+# only a reader's quarantine moves one: a corrupt payload missing from every
+# `.corrupt*` file afterwards is a quarantine lost.  Prints the payloads it wrote.
+_QUARANTINE_WORKER = """
+import fcntl, json, os, random, sys
+from cyclecert import NewformClient
+
+cache_dir, seed = sys.argv[1], int(sys.argv[2])
+path = os.path.join(cache_dir, "newforms", "level_37.json")
+record = {"label": "37.2.a.a", "weight": 2, "fricke_sign": -1, "analytic_rank": 1}
+reader = NewformClient(cache_dir=cache_dir)
+rng, written = random.Random(seed), []
+print("ready", flush=True)
+sys.stdin.readline()
+with open(os.path.join(cache_dir, "writers.lock"), "w") as lock:
+    for i in range(200):
+        step = rng.choice(("fetch", "corrupt", "read", "read"))
+        if step == "read":
+            reader.fetch_newforms(37, mode="offline")
+            continue
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    if fh.read().startswith("corrupt"):
+                        continue
+            except FileNotFoundError:
+                pass
+            if step == "fetch":
+                writer = NewformClient(cache_dir=cache_dir, fetch_json=lambda level: [record], rate_limit_per_sec=1e6)
+                writer.fetch_newforms(37, mode="online")
+            else:
+                written.append("corrupt %d %d" % (seed, i))
+                with open(path + ".%d.part" % seed, "w", encoding="utf-8") as fh:
+                    fh.write(written[-1])
+                os.replace(path + ".%d.part" % seed, path)
+        finally:
+            fcntl.flock(lock, fcntl.LOCK_UN)
+print(json.dumps(written))
+"""
+
+
+def test_concurrent_quarantines_lose_no_corrupt_file(tmp_path):
+    cache = tmp_path / "newforms"
+    cache.mkdir()
+    argv = [sys.executable, "-c", _QUARANTINE_WORKER, str(tmp_path)]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    procs = [subprocess.Popen(argv + [str(seed)], env=_python_env(), **pipes) for seed in range(4)]
+    try:
+        assert [p.stdout.readline() for p in procs] == ["ready\n"] * 4
+        for p in procs:
+            p.stdin.write("go\n")
+            p.stdin.flush()
+        outs = [p.communicate(timeout=30) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait(timeout=10)
+    assert [(p.returncode, err) for p, (_, err) in zip(procs, outs)] == [(0, "")] * 4
+    written = [payload for out, _ in outs for payload in json.loads(out)]
+    assert written
+    # a last read quarantines a corrupt file that the last write left
+    client = NewformClient(cache_dir=str(tmp_path))
+    assert client.fetch_newforms(37, mode="offline")
+    names = sorted(p.name for p in cache.iterdir())
+    assert all(name == "level_37.json" or name.startswith("level_37.json.corrupt") for name in names), names
+    quarantined = {p.read_text(encoding="utf-8") for p in cache.glob("level_37.json.corrupt*")}
+    assert set(written) <= quarantined
+    assert not (cache / "level_37.json").exists() or newforms_mod._read_cache(str(tmp_path), 37)
 
 
 def test_cli_import_loads_no_http_stack():
@@ -388,12 +462,15 @@ def test_fetches_of_two_levels_run_one_at_a_time():
     assert sorted(calls) == [5, 7] and overlapped == [False, False]
 
 
-def test_env_overrides(monkeypatch, tmp_path):
+def test_environment_does_not_override_client_arguments(monkeypatch, tmp_path):
+    # the library reads no environment: only the command line reads these settings
     monkeypatch.setenv("CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("TIMEOUT_MS", "1234")
-    client = NewformClient(cache_dir="/ignored", timeout_ms=1)
-    assert client.cache_dir == str(tmp_path)
-    assert client.timeout_ms == 1234
+    monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
+    client = NewformClient(cache_dir="/given", timeout_ms=1)
+    assert (client.base_url, client.cache_dir, client.timeout_ms) == (None, "/given", 1)
+    default = NewformClient()
+    assert (default.base_url, default.cache_dir, default.timeout_ms) == (None, None, 10000)
 
 
 def test_fixture_override_directory(tmp_path):
@@ -430,8 +507,7 @@ def _minus_rank1(label):
     return {"label": label, "weight": 2, "fricke_sign": -1, "analytic_rank": 1}
 
 
-def _cache_client(tmp_path, monkeypatch):
-    monkeypatch.delenv("CACHE_DIR", raising=False)
+def _cache_client(tmp_path):
     (tmp_path / "newforms").mkdir()
     return NewformClient(cache_dir=str(tmp_path)), tmp_path / "newforms"
 
@@ -502,7 +578,6 @@ def _spy_on_client_construction(monkeypatch):
 
 
 def test_default_offline_scan_builds_no_client(monkeypatch):
-    monkeypatch.delenv("CACHE_DIR", raising=False)
     monkeypatch.setenv("TIMEOUT_MS", "soon")
     monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
     built = _spy_on_client_construction(monkeypatch)
@@ -510,37 +585,35 @@ def test_default_offline_scan_builds_no_client(monkeypatch):
     assert witness_minus_rank1(6 * 9001) is None
     assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
     assert built == []
-    # the online scan builds the default client, which checks every setting
-    with pytest.raises(ValueError):
+    # the online scan builds the default client, which reads no setting and has no endpoint
+    with pytest.raises(WitnessIndeterminate, match="^fetch failed at level 1: no base URL configured$"):
         witness_minus_rank1(74, mode="online")
-    with pytest.raises(ValueError):
-        NewformClient()
+    cert = certify(35, mode="online")
+    assert cert.verdict == "unknown"
+    assert "analytic clause not evaluated: fetch failed at level 1: no base URL configured" in cert.justification
     assert len(built) == 2
 
 
-def test_cache_dir_setting_still_decides_the_default_offline_witness(tmp_path, monkeypatch):
-    # the offline scan reads CACHE_DIR alone and builds no client, so no other setting is parsed
+def test_cache_dir_setting_does_not_decide_the_default_offline_witness(tmp_path, monkeypatch):
+    # with no client the offline scan reads the bundled snapshot alone; a cache is a client's argument
     monkeypatch.setenv("CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("TIMEOUT_MS", "soon")
-    monkeypatch.setenv("BASE_URL", "ftp://nowhere.invalid")
     (tmp_path / "newforms").mkdir()
     _write_level(tmp_path / "newforms", 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
     built = _spy_on_client_construction(monkeypatch)
-    level, record = witness_minus_rank1(6 * 9001)
-    assert (level, record.label, record.source) == (9001, "9001.2.a.a", "cache")
-    witness = certify(6 * 9001).witnesses[-1]
-    assert (witness["level"], witness["label"], witness["data_source"]) == (9001, "9001.2.a.a", "cache")
-    assert witness_minus_rank1(74)[0] == 37
-    assert certify(128).witnesses[-1]["label"] == "128.2.a.a"
+    assert witness_minus_rank1(6 * 9001) is None
+    assert [w["clause"] for w in certify(6 * 9001).witnesses] == ["A1_prime"]
     assert built == []
-    # the online scan builds the default client, which rejects the malformed setting
-    with pytest.raises(ValueError, match="invalid literal"):
-        witness_minus_rank1(74, mode="online")
-    assert len(built) == 1
+    client = NewformClient(cache_dir=str(tmp_path))
+    level, record = witness_minus_rank1(6 * 9001, client=client)
+    assert (level, record.label, record.source) == (9001, "9001.2.a.a", "cache")
+    witness = certify(6 * 9001, newform_source=client).witnesses[-1]
+    assert (witness["level"], witness["label"], witness["data_source"]) == (9001, "9001.2.a.a", "cache")
+    assert witness_minus_rank1(74, client=client)[0] == 37
+    assert certify(128, newform_source=client).witnesses[-1]["label"] == "128.2.a.a"
 
 
 def test_offline_scan_with_a_client_reads_only_its_directories(tmp_path, monkeypatch):
-    client, cache = _cache_client(tmp_path, monkeypatch)
+    client, cache = _cache_client(tmp_path)
     _write_level(cache, 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
 
     def refuse(self, *args, **kwargs):
@@ -567,11 +640,11 @@ def test_unknown_mode_is_rejected_on_entry(monkeypatch):
     assert len(built) == 1
 
 
-def test_record_of_another_level_is_malformed_in_every_source(tmp_path, monkeypatch):
+def test_record_of_another_level_is_malformed_in_every_source(tmp_path):
     foreign = dict(_minus_rank1("11.2.a.a"), level=11)
     message = "record 0 is of level 11, not 37"
     # the cache quarantines the file and falls through to the bundled fixture
-    client, cache = _cache_client(tmp_path, monkeypatch)
+    client, cache = _cache_client(tmp_path)
     _write_level(cache, 37, [foreign], schema_version=1)
     assert client.fetch_newforms(37, mode="offline") == NewformClient().fetch_newforms(37, mode="offline")
     assert sorted(p.name for p in cache.iterdir()) == ["level_37.json.corrupt"]
@@ -614,10 +687,10 @@ MISTYPED_RECORDS = {
 
 
 @pytest.mark.parametrize("kind", sorted(MISTYPED_RECORDS))
-def test_mistyped_record_is_malformed_in_every_source(tmp_path, monkeypatch, kind):
+def test_mistyped_record_is_malformed_in_every_source(tmp_path, kind):
     raw = MISTYPED_RECORDS[kind]
     # the cache quarantines the file and falls through to the bundled fixture
-    client, cache = _cache_client(tmp_path, monkeypatch)
+    client, cache = _cache_client(tmp_path)
     _write_level(cache, 37, [raw], schema_version=1)
     level, record = witness_minus_rank1(74, client=client)
     assert (level, record.label, record.source) == (37, "37.2.a.a", "fixture")
@@ -638,8 +711,8 @@ def test_mistyped_record_is_malformed_in_every_source(tmp_path, monkeypatch, kin
         witness_minus_rank1(74, mode="online", client=online)
 
 
-def test_records_that_are_no_array_are_malformed(tmp_path, monkeypatch):
-    client, cache = _cache_client(tmp_path, monkeypatch)
+def test_records_that_are_no_array_are_malformed(tmp_path):
+    client, cache = _cache_client(tmp_path)
     for payload in ([], {"schema_version": 1, "records": 5}):
         (cache / "level_37.json").write_text(json.dumps(payload), encoding="utf-8")
         assert witness_minus_rank1(74, client=client)[1].source == "fixture"
@@ -681,8 +754,8 @@ def test_malformed_bundled_level_makes_the_witness_indeterminate(tmp_path, monke
             newforms_mod._bundled_records.cache_clear()
 
 
-def test_offline_scan_visits_cache_levels_outside_the_snapshot(tmp_path, monkeypatch):
-    client, cache = _cache_client(tmp_path, monkeypatch)
+def test_offline_scan_visits_cache_levels_outside_the_snapshot(tmp_path):
+    client, cache = _cache_client(tmp_path)
     _write_level(cache, 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
     assert 9001 not in fixture_levels()
     for n in (9001, 2 * 9001, 6 * 9001, 35 * 9001, 37 * 9001, 128 * 9001, 6, 37, 74):
@@ -749,14 +822,15 @@ def test_stray_fixture_override_name_is_skipped(tmp_path, monkeypatch):
     assert client.available_offline_levels() == {37}
     assert witness_minus_rank1(74, client=client)[0] == 37
     assert witness_minus_rank1(70, client=client) is None
-    # the same names in the cache directory, with and without a client
-    client, cache = _cache_client(tmp_path, monkeypatch)
+    # the same names in a client's cache directory; with no client, CACHE_DIR is ignored
+    client, cache = _cache_client(tmp_path)
     _write_stray_names(cache)
     _write_level(cache, 9001, [_minus_rank1("9001.2.a.a")], schema_version=1)
     assert client.available_offline_levels() == set(fixture_levels()) | {9001}
     monkeypatch.setenv("CACHE_DIR", str(tmp_path))
-    for found in (witness_minus_rank1(2 * 9001, client=client), witness_minus_rank1(2 * 9001)):
-        assert (found[0], found[1].label) == (9001, "9001.2.a.a")
+    found = witness_minus_rank1(2 * 9001, client=client)
+    assert (found[0], found[1].label) == (9001, "9001.2.a.a")
+    assert witness_minus_rank1(2 * 9001) is None
     assert witness_minus_rank1(70, client=client) is None and witness_minus_rank1(70) is None
     assert sorted(p.name for p in cache.iterdir()) == sorted(STRAY_LEVEL_NAMES + ("level_9001.json",))
 
@@ -826,18 +900,18 @@ def test_mutating_a_returned_list_leaves_the_next_fetch_unchanged():
     assert NewformClient().fetch_newforms(37, mode="offline") == expected
 
 
-def test_cache_entry_wins_over_the_loaded_snapshot(tmp_path, monkeypatch):
+def test_cache_entry_wins_over_the_loaded_snapshot(tmp_path):
     bundled = NewformClient().fetch_newforms(37, mode="offline")
-    client, cache = _cache_client(tmp_path, monkeypatch)
+    client, cache = _cache_client(tmp_path)
     _write_level(cache, 37, [_minus_rank1("37.2.a.z")], schema_version=1)
     records = client.fetch_newforms(37, mode="offline")
     assert [(r.label, r.source) for r in records] == [("37.2.a.z", "cache")]
     assert NewformClient().fetch_newforms(37, mode="offline") == bundled
 
 
-def test_corrupt_cache_is_quarantined_over_the_loaded_snapshot(tmp_path, monkeypatch):
+def test_corrupt_cache_is_quarantined_over_the_loaded_snapshot(tmp_path):
     bundled = NewformClient().fetch_newforms(37, mode="offline")
-    client, cache = _cache_client(tmp_path, monkeypatch)
+    client, cache = _cache_client(tmp_path)
     bad = cache / "level_37.json"
     bad.write_text("{not json", encoding="utf-8")
     assert client.fetch_newforms(37, mode="offline") == bundled

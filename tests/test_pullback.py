@@ -171,6 +171,8 @@ def test_divisor_class_rejects_bad_keys():
 def test_sums_and_multiples_do_not_revalidate(monkeypatch):
     a = pullback_divisor(gen(2, 3, 0, 0))
     b = pullback_divisor(gen(2, 2, 0, 0))
+    c = DivisorClass(2, cusp_coeff=Fraction(3, 2))
+    d = DivisorClass(2, cusp_coeff=Fraction(1, 4), cusp_ambiguous=True)
 
     def refuse(*args):
         raise AssertionError("operands were validated when built")
@@ -184,6 +186,8 @@ def test_sums_and_multiples_do_not_revalidate(monkeypatch):
     }
     assert total.omega_coeff == -2
     assert a.scaled(0).is_zero()
+    assert ((c + d).cusp_coeff, (c + d).cusp_ambiguous) == (Fraction(7, 4), True)
+    assert ((c + c).cusp_coeff, (c + c).cusp_ambiguous) == (Fraction(3), False)
 
 
 def test_round_trip_validates_only_the_surviving_key(monkeypatch):
