@@ -13,9 +13,10 @@ target and every term.  It keeps its target's `HeegnerIndex`, so the round
 trip and `chow_heegner_divisor` check nothing again, and a decompose,
 verify and chow round takes one `special_divisor_index` call.  Inside, a
 ladder rung keeps its valid target's congruence m = q(mu) mod 1 and is
-built unchecked with an `int` coefficient, and pullbacks are summed per r1
-on the integer keys 4N*m0, visiting s and -s once where both split; every
-key a pullback reaches is valid, so the classes returned are built without
+built unchecked with an `int` coefficient.  The round trip of such a ladder
+is one product of packed integers; other pullbacks are summed per r1 on the
+integer keys 4N*m0, visiting s and -s once where both split.  Every key a
+pullback reaches is valid, so the classes returned are built without
 checking their keys again, and `Fraction` keys appear only in what is
 returned.
 """
@@ -238,9 +239,9 @@ def _inverse_theta(length: int) -> list[int]:
 
     c_0 = 1 and c_i = -2 * sum_{k>=1} c_{i - k**2}; c_i is (-1)**i times the
     number of overpartitions of i, so none is zero.  Computed per call and
-    kept nowhere: on ladders of up to 240 rungs the recurrence takes at most
-    about a fifth of `decompose_heegner` and a tenth of the round trip; at
-    20,000 rungs, three quarters and a fifth.
+    kept nowhere: on ladders of up to 240 rungs the recurrence takes about a
+    third of `decompose_heegner` and about as long as the round trip; at
+    20,000 rungs, three quarters of each.
     """
     coeffs = [1]
     squares = [k * k for k in range(1, isqrt(max(length - 1, 0)) + 1)]
@@ -268,8 +269,9 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
     `int`.  The target is validated once, on entry, and the decomposition is
     built from its index without the constructor's checks: each rung, built
     from 4N*m = 4N*m0 - 4N**2*j, keeps the target's congruence
-    4N*m + r1**2 = 0 mod 4N.  The round trip through `verify_decomposition`
-    is linear in the number of splittings it sums, about L**1.5 for L rungs.
+    4N*m + r1**2 = 0 mod 4N.  `verify_decomposition` recognises this ladder
+    and multiplies it by theta as packed integers (`_ladder_round_trips`), in
+    O(L) Python steps for L rungs.
     """
     idx = special_divisor_index(level, m0, r1)
     n, r1, four_nm = level, idx.r, -idx.disc
@@ -313,17 +315,78 @@ def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
     return _divisor_class(decomp.level, heeg, omega, ambiguous)
 
 
+def _ladder_coeffs(decomp: PullbackDecomposition) -> list[int] | None:
+    """The rung coefficients of a decomposition shaped like a `decompose_heegner` ladder, else None.
+
+    Rung i is Z*(m0 - N*i, (r1, 0)) at the target's m0 and reduced r1, with
+    an `int` coefficient, for every i with 4N*m > 0, in order.  One last term
+    of norm 0 may follow: it pulls back with no Heegner part.
+    """
+    idx = decomp._index
+    terms = decomp.terms
+    if terms and terms[-1][0]._four_nm == 0:
+        terms = terms[:-1]
+    four_nm, step = -idx.disc, 4 * decomp.level * decomp.level
+    if len(terms) != -(-four_nm // step):
+        return None
+    coeffs = []
+    for gen, coeff in terms:
+        if gen._four_nm != four_nm or type(coeff) is not int or gen.mu.r1 != idx.r or gen.mu.r2:
+            return None
+        coeffs.append(coeff)
+        four_nm -= step
+    return coeffs
+
+
+def _ladder_round_trips(coeffs: list[int]) -> bool:
+    """Whether an L-rung ladder round-trips: theta(q) * sum_i c_i q^i = 1 below q^L.
+
+    Slot j stands for the key 4N*m0 - 4N**2*j, which rung i reaches from the
+    splittings s = +-2N*t with i + t**2 = j, so a slot sums at most
+    2*isqrt(L - 1) + 1 rung coefficients.  The slot width w is the bit length
+    of max|c_i| plus that of 2*isqrt(L - 1) + 1, so every slot of the product
+    less 1 is below 2**w in absolute value.  The c_i are packed into one
+    `int`, c_i times 2**(w*i), by pairwise shifts and adds; the series is
+    multiplied by theta with one shift and add per square t**2 < L, and 1 is
+    subtracted.  The low L slots are all zero exactly when the result is
+    divisible by 2**(w*L): the lowest nonzero slot j < L, below 2**w in
+    absolute value, leaves a remainder mod 2**(w*(j + 1)).  Slots from L up
+    have keys 4N*m0 <= 0 and are masked off.  Every slot is w bits wide, so
+    one coefficient far wider than the others costs L times its size in
+    memory and in each shift.
+    """
+    length = len(coeffs)
+    tmax = isqrt(length - 1)
+    bits = max(map(abs, coeffs)).bit_length() + (2 * tmax + 1).bit_length()
+    packed, shift = coeffs, bits
+    while len(packed) > 1:
+        packed = [lo + (hi << shift) for lo, hi in zip(packed[::2], packed[1::2] + [0])]
+        shift *= 2
+    series = packed[0]
+    total = series - 1
+    for t in range(1, tmax + 1):
+        total += series << (bits * t * t + 1)
+    return not total & ((1 << (bits * length)) - 1)
+
+
 def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fraction]:
     """Residual of the round trip on Heegner coefficients; empty means exact.
 
     The decomposition's kept index gives the target's r1 mod 2N and integer
-    4N*m0.  The terms, checked when it was built, are summed per r1 on such
-    integers, where each splitting of a valid generator lands on a valid key,
-    and the target is subtracted there; `Fraction` keys and values are built
-    only for the entries returned.  Omega and cusp coefficients are excluded:
-    the cusp coefficient of a pullback is undetermined, and the two classes
-    are proportional on the curves in question.
+    4N*m0.  A ladder shaped as `decompose_heegner` builds it is first tested
+    by `_ladder_round_trips`, one product of packed integers: O(L) Python
+    steps and isqrt(L) big-integer shifts for L rungs, and an exact ladder
+    returns {} there.  Otherwise the terms, checked when the decomposition
+    was built, are summed per r1 on such integers, where each splitting of a
+    valid generator lands on a valid key, and the target is subtracted there;
+    `Fraction` keys and values are built only for the entries returned.
+    Omega and cusp coefficients are excluded: the cusp coefficient of a
+    pullback is undetermined, and the two classes are proportional on the
+    curves in question.
     """
+    coeffs = _ladder_coeffs(decomp)
+    if coeffs is not None and _ladder_round_trips(coeffs):
+        return {}
     idx = decomp._index
     by_r1, _, _ = _sum_pullbacks(decomp)
     heeg = by_r1.setdefault(idx.r, {})

@@ -284,19 +284,48 @@ def _targets(max_level, max_scaled):
 
 
 def _tampered(dec):
-    """The decomposition with one coefficient bumped, one rung dropped, one
-    coefficient made non-integral, and an extra Z*(0, 0) term."""
+    """The decomposition with one `int` coefficient bumped by 1, one rung
+    dropped, one coefficient made non-integral, an extra Z*(0, 0) term, and
+    one rung's coefficient raised by 10**40, which widens the packed slots.
+    The first and the last keep the ladder's shape, so the packed test meets
+    them."""
     terms = list(dec.terms)
     i = len(terms) // 2
     gen_i, c_i = terms[i]
     zero = AmbientGenerator(m=Fraction(0), mu=DiscElement(dec.level, 0, 0))
+    rungs, tail = _rungs_and_tail(dec)
+    j = len(rungs) // 2
+    gen_j, c_j = rungs[j]
     for changed in (
         terms[:i] + [(gen_i, c_i + 1)] + terms[i + 1 :],
         terms[:i] + terms[i + 1 :],
         terms[:i] + [(gen_i, c_i + Fraction(1, 3))] + terms[i + 1 :],
         terms + [(zero, Fraction(1))],
+        rungs[:j] + [(gen_j, c_j + 10**40)] + rungs[j + 1 :] + tail,
     ):
-        yield PullbackDecomposition(dec.level, dec.target, tuple(changed))
+        # every term is a checked generator with an int or Fraction coefficient, so the trusted builder takes them
+        yield PullbackDecomposition._from_valid(dec.level, dec.target, tuple(changed), True, dec._index)
+
+
+def _misshapen(dec):
+    """The ladder's rungs with the last doubled, reversed, with a zero-norm
+    term in the middle, and with two zero-norm terms at the end."""
+    rungs, tail = _rungs_and_tail(dec)
+    j = len(rungs) // 2
+    zero = AmbientGenerator(m=Fraction(0), mu=DiscElement(dec.level, 0, 0))
+    for changed in (
+        rungs + [rungs[-1]] + tail,
+        rungs[::-1] + tail,
+        rungs[:j] + [(zero, 1)] + rungs[j:],
+        rungs + [(zero, 1), (zero, 2)],
+    ):
+        yield PullbackDecomposition._from_valid(dec.level, dec.target, tuple(changed), True, dec._index)
+
+
+def _rungs_and_tail(dec):
+    """A ladder's terms split before its zero-norm term, if any."""
+    rungs = [term for term in dec.terms if term[0].m != 0]
+    return rungs, list(dec.terms[len(rungs) :])
 
 
 def _typed(residual):
@@ -307,13 +336,62 @@ def test_round_trip_matches_divisor_class_oracle():
     seen_nonzero = 0
     for level, scaled, r1 in _targets(10, 400):
         dec = decompose_heegner(level, Fraction(scaled, 4 * level), r1)
-        for case in (dec, *_tampered(dec)):
+        cases = (dec, *_tampered(dec))
+        for case in cases:
             got = verify_decomposition(case)
             want = round_trip_by_divisor_class(case)
             assert _typed(got) == _typed(want), (level, scaled, r1, case.terms)
             assert all(type(m) is Fraction and 0 <= r < 2 * level for m, r in got)
             seen_nonzero += bool(got)
+        # the ladder and the tamperings that keep its shape are tested packed; misshapen ones are only
+        # summed, by the loop the oracle runs too, so they are checked for their shape alone, and a
+        # one-rung ladder reversed is the ladder itself
+        assert all(pullback_mod._ladder_coeffs(case) is not None for case in (cases[0], cases[1], cases[5]))
+        one_rung = len(_rungs_and_tail(dec)[0]) == 1
+        misshapen = [pullback_mod._ladder_coeffs(case) is not None for case in _misshapen(dec)]
+        assert misshapen == [False, one_rung, False, False], (level, scaled, r1)
     assert seen_nonzero > 1000
+
+
+def test_ladder_shaped_decompositions_match_the_reference():
+    # a slot sums up to 2*isqrt(L - 1) + 1 rung coefficients, so equal extreme ones fill it to its width;
+    # one rung at 1 - 2**k leaves -2**k, which a slot one bit narrower would read as zero
+    for level, m0, r1 in ((1, Fraction(3, 4), 1), (1, 9, 0), (1, Fraction(67, 4), 1), (2, 30, 0), (3, Fraction(143, 12), 1)):
+        dec = decompose_heegner(level, m0, r1)
+        rungs = [g for g, _ in dec.terms if g.m != 0]
+        for bits in (1, 2, 3, 8, 40):
+            for coeff in (2**bits - 1, 1 - 2**bits, 2 ** (bits - 1)):
+                case = PullbackDecomposition(level, dec.target, tuple((g, coeff) for g in rungs))
+                want = round_trip_by_divisor_class(case)
+                assert pullback_mod._ladder_coeffs(case) == [coeff] * len(rungs)
+                assert pullback_mod._ladder_round_trips([coeff] * len(rungs)) is (want == {}), (m0, coeff)
+                assert _typed(verify_decomposition(case)) == _typed(want), (m0, coeff)
+    # rungs at another r1 with the same keys (81 = 1 mod 20), or at r2 = N (16 = 0 mod 16), fall back
+    for level, m0, r1, mu in ((5, Fraction(399, 20), 1, DiscElement(5, 9, 0)), (4, 7, 0, DiscElement(4, 0, 4))):
+        dec = decompose_heegner(level, m0, r1)
+        case = PullbackDecomposition(level, dec.target, tuple((AmbientGenerator(g.m, mu), c) for g, c in dec.terms))
+        assert pullback_mod._ladder_coeffs(case) is None
+        assert verify_decomposition(case) == round_trip_by_divisor_class(case) != {}
+
+
+def test_ladders_round_trip_without_summing_pullbacks(monkeypatch):
+    calls = []
+    summed = pullback_mod._sum_pullbacks
+
+    def counted(decomp):
+        calls.append(decomp)
+        return summed(decomp)
+
+    monkeypatch.setattr(pullback_mod, "_sum_pullbacks", counted)
+    ladders = tails = 0
+    for level, scaled, r1 in _targets(30, 480):
+        dec = decompose_heegner(level, Fraction(scaled, 4 * level), r1)
+        assert verify_decomposition(dec) == {}, (level, scaled, r1)
+        ladders += 1
+        tails += dec.terms[-1][0].m == 0
+    assert calls == [] and ladders == 7157 and tails > 0
+    # the reference loop still sums every other use of the terms
+    assert apply_decomposition(dec).omega_coeff == 0 and calls == [dec]
 
 
 def test_round_trip_validates_and_reduces_the_target():
