@@ -43,7 +43,6 @@ from .pullback import (
     AmbientGenerator,
     DivisorClass,
     PullbackDecomposition,
-    apply_decomposition,
     chow_heegner_divisor,
     decompose_heegner,
     pullback_divisor,
@@ -71,7 +70,6 @@ __all__ = [
     "PullbackDecomposition",
     "TransientFetchError",
     "WitnessIndeterminate",
-    "apply_decomposition",
     "certify",
     "chow_heegner_divisor",
     "class_number",

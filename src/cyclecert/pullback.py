@@ -1,9 +1,10 @@
-"""Symbolic divisor algebra on the cover curve and the diagonal pullback map.
+"""The diagonal pullback of special divisors on the cover curve, and its round trip.
 
-Divisor classes are formal rational combinations of Heegner generators
+A divisor class is a formal rational combination of Heegner generators
 Heeg(m0, r1), the tautological-square class Omega (the canonical class) and
-the cusp class Cusp.  The pullback of an ambient generator Z*(m, mu) lands in
-this algebra with a cusp coefficient that is only defined up to an integer;
+the cusp class Cusp; it is the record `pullback_divisor` and
+`chow_heegner_divisor` return.  The pullback of an ambient generator
+Z*(m, mu) has a cusp coefficient that is only defined up to an integer;
 that ambiguity is carried as a flag and never guessed, and all round-trip
 comparisons are on Heegner coefficients alone.
 
@@ -37,14 +38,23 @@ HeegKey = tuple[Fraction, int]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
+def _pair(value, message: str) -> tuple:
+    """The two items of `value`, else ValueError(message)."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    return first, second
+
+
 class DivisorClass(_Record):
     """Formal divisor class: Heegner coefficients plus Omega and Cusp parts.
 
     `cusp_ambiguous` means the cusp coefficient is a representative only,
-    defined up to an undetermined integer.  Construction validates every key
-    with a nonzero coefficient; sums and multiples of classes reuse their
-    operands' keys without checking them again.  A class is frozen like the
-    other records, but it holds a dict, so it is unhashable.
+    defined up to an undetermined integer.  Construction checks that every
+    key is a pair and validates every key with a nonzero coefficient.  A
+    class is frozen like the other records, but it holds a dict, so it is
+    unhashable.
     """
 
     _fields = ("level", "heeg_coeffs", "omega_coeff", "cusp_coeff", "cusp_ambiguous")
@@ -64,7 +74,8 @@ class DivisorClass(_Record):
         _check_rational(omega_coeff)
         _check_rational(cusp_coeff)
         cleaned: dict[HeegKey, Fraction] = {}
-        for (m0, r1), coeff in (heeg_coeffs or {}).items():
+        for key, coeff in (heeg_coeffs or {}).items():
+            m0, r1 = _pair(key, "a Heegner key must be a pair (m0, r1)")
             _check_rational(coeff)
             coeff = Fraction(coeff)
             if coeff == 0:
@@ -80,34 +91,6 @@ class DivisorClass(_Record):
             Fraction(cusp_coeff),
             cusp_ambiguous,
         )
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if self.level != other.level:
-            raise ValueError("cannot add classes at different levels")
-        heeg = dict(self.heeg_coeffs)
-        for k, v in other.heeg_coeffs.items():
-            heeg[k] = heeg.get(k, Fraction(0)) + v
-        return DivisorClass._from_valid(
-            self.level,
-            {k: v for k, v in heeg.items() if v != 0},
-            self.omega_coeff + other.omega_coeff,
-            self.cusp_coeff + other.cusp_coeff,
-            self.cusp_ambiguous or other.cusp_ambiguous,
-        )
-
-    def scaled(self, factor: Fraction | int) -> "DivisorClass":
-        _check_rational(factor)
-        f = Fraction(factor)
-        return DivisorClass._from_valid(
-            self.level,
-            {k: f * v for k, v in self.heeg_coeffs.items()} if f != 0 else {},
-            f * self.omega_coeff,
-            f * self.cusp_coeff,
-            self.cusp_ambiguous,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.heeg_coeffs and self.omega_coeff == 0 and self.cusp_coeff == 0
 
 
 class AmbientGenerator(_Record):
@@ -145,35 +128,34 @@ class AmbientGenerator(_Record):
 class PullbackDecomposition(_Record):
     """Coefficients on ambient generators realizing a Heegner divisor as a pullback.
 
-    Everything is checked once, when it is built: the target (m0, r1) as
-    `special_divisor_index` checks it, and each term as a pair of an
-    `AmbientGenerator` at this level and an `int` or `Fraction` coefficient;
-    `target` and `terms` are stored as tuples.  The target's `HeegnerIndex`
-    is kept out of equality, hashing and repr, and the round trip and
-    `chow_heegner_divisor` check nothing again.  `residual_cusp_ambiguous`
-    is always True: the cusp coefficient of a pullback is defined only up to
-    an integer, so the round trip compares Heegner coefficients alone.
+    Everything is checked once, when it is built: the target as a pair
+    (m0, r1) that `special_divisor_index` accepts, and each term as a pair of
+    an `AmbientGenerator` at this level and an `int` or `Fraction`
+    coefficient, else ValueError; `target` and `terms` are stored as tuples.
+    The target's `HeegnerIndex` is kept out of equality, hashing and repr,
+    and the round trip and `chow_heegner_divisor` check nothing again.
+    `residual_cusp_ambiguous` is always True: the cusp coefficient of a
+    pullback is defined only up to an integer, so the round trip compares
+    Heegner coefficients alone.
     """
 
     _fields = ("level", "target", "terms", "residual_cusp_ambiguous")
     _extras = ("_index",)
 
     def __init__(self, level: int, target: HeegKey, terms: tuple[tuple[AmbientGenerator, Fraction | int], ...]) -> None:
+        target = _pair(target, "a target must be a pair (m0, r1)")
         index = special_divisor_index(level, *target)
-        terms = tuple((gen, coeff) for gen, coeff in terms)
+        terms = tuple(_pair(term, "a term must pair an AmbientGenerator with a coefficient") for term in terms)
         for gen, coeff in terms:
             if type(gen) is not AmbientGenerator:
                 raise ValueError("a term must pair an AmbientGenerator with a coefficient")
             if gen.mu.level != level:
                 raise ValueError("cannot add classes at different levels")
             _check_rational(coeff)
-        self._store(level, tuple(target), terms, True, index)
+        self._store(level, target, terms, True, index)
 
     def coefficient(self, gen: AmbientGenerator) -> Fraction | int:
-        for g, c in self.terms:
-            if g == gen:
-                return c
-        return 0
+        return next((c for g, c in self.terms if g == gen), 0)
 
 
 def _add_pullback(gen: AmbientGenerator, coeff: int | Fraction, heeg: dict[int, int | Fraction]) -> int | Fraction:
@@ -211,13 +193,6 @@ def _heeg_fractions(level: int, by_r1: dict[int, dict[int, int | Fraction]]) -> 
     return {(Fraction(k, four_n), r1): Fraction(c) for r1, heeg in by_r1.items() for k, c in heeg.items() if c}
 
 
-def _divisor_class(
-    level: int, by_r1: dict[int, dict[int, int | Fraction]], omega: int | Fraction, ambiguous: bool
-) -> DivisorClass:
-    # the keys are valid by construction and r1 is reduced, so the trusted constructor takes them
-    return DivisorClass._from_valid(level, _heeg_fractions(level, by_r1), Fraction(omega), _ZERO, ambiguous)
-
-
 def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     """Diagonal pullback of an ambient generator, as a divisor class on the curve.
 
@@ -231,7 +206,9 @@ def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     """
     heeg: dict[int, int] = {}
     omega = _add_pullback(gen, 1, heeg)
-    return _divisor_class(gen.level, {gen.mu.r1: heeg}, omega, gen._four_nm != 0)
+    # the keys are valid by construction and r1 is reduced, so the trusted constructor takes them
+    heeg_coeffs = _heeg_fractions(gen.level, {gen.mu.r1: heeg})
+    return DivisorClass._from_valid(gen.level, heeg_coeffs, Fraction(omega), _ZERO, gen._four_nm != 0)
 
 
 def _inverse_theta(length: int) -> list[int]:
@@ -291,28 +268,6 @@ def decompose_heegner(level: int, m0: Fraction | int, r1: int) -> PullbackDecomp
             terms.append((new_gen(_ZERO, mu, 0), lam0))
     # the first rung is Z*(m0, (r1, 0)), so its m is the target's m0; idx is the target's index, already taken
     return PullbackDecomposition._from_valid(n, (terms[0][0].m, r1), tuple(terms), True, idx)
-
-
-def _sum_pullbacks(
-    decomp: PullbackDecomposition,
-) -> tuple[dict[int, dict[int, int | Fraction]], int | Fraction, bool]:
-    """Heegner part {r1: {4N*m0: coefficient}}, Omega part and cusp ambiguity of terms checked when built.
-
-    They are summed as given, so a ladder's `int` coefficients stay `int`s."""
-    by_r1: dict[int, dict[int, int | Fraction]] = {}
-    omega: int | Fraction = 0
-    ambiguous = False
-    for gen, coeff in decomp.terms:
-        heeg = by_r1.setdefault(gen.mu.r1, {})
-        omega += _add_pullback(gen, coeff, heeg)
-        ambiguous = ambiguous or gen._four_nm != 0
-    return by_r1, omega, ambiguous
-
-
-def apply_decomposition(decomp: PullbackDecomposition) -> DivisorClass:
-    """Pull back every generator in the decomposition and sum with its coefficients."""
-    heeg, omega, ambiguous = _sum_pullbacks(decomp)
-    return _divisor_class(decomp.level, heeg, omega, ambiguous)
 
 
 def _ladder_coeffs(decomp: PullbackDecomposition) -> list[int] | None:
@@ -388,7 +343,9 @@ def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fractio
     if coeffs is not None and _ladder_round_trips(coeffs):
         return {}
     idx = decomp._index
-    by_r1, _, _ = _sum_pullbacks(decomp)
+    by_r1: dict[int, dict[int, int | Fraction]] = {}
+    for gen, coeff in decomp.terms:
+        _add_pullback(gen, coeff, by_r1.setdefault(gen.mu.r1, {}))
     heeg = by_r1.setdefault(idx.r, {})
     heeg[-idx.disc] = heeg.get(-idx.disc, 0) - 1
     return _heeg_fractions(decomp.level, by_r1)

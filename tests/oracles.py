@@ -17,10 +17,10 @@ every reduced form by all psi(N) coset representatives, the reduced-form
 walk, extended gcd and per-form local-kernel labels that the Heegner
 enumeration used before it moved to plain integers, the newform
 witness by scanning every divisor of n, the pullback of a generator by
-visiting every candidate splitting, the round-trip residual through a
-validated `DivisorClass`, the Heegner r values by scanning all 2N residues,
-Hurwitz class numbers by walking every reduced form below a bound, and the
-Hurwitz-Kronecker relation summed in `Fraction`s.
+visiting every candidate splitting, the round-trip residual by summing
+those pullbacks on integer keys, the Heegner r values by scanning all 2N
+residues, Hurwitz class numbers by walking every reduced form below a
+bound, and the Hurwitz-Kronecker relation summed in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -412,20 +412,33 @@ def special_divisor_index_by_fractions(level: int, m0, r1: int):
     return HeegnerIndex(level=level, disc=-scaled.numerator, r=r1)
 
 
-def round_trip_by_divisor_class(decomp):
-    """Round-trip residual of a decomposition through a validated `DivisorClass`.
+def sum_pullbacks_every_s(decomp) -> tuple[dict, int]:
+    """Heegner part on (4N*m0, r1) keys and Omega part of a decomposition's summed pullbacks.
 
-    An earlier form of the library's `verify_decomposition`: the achieved
-    class is built with `Fraction` keys, each validated, and the target is
-    subtracted, as given, from its Heegner coefficients.  It therefore
-    agrees with `verify_decomposition` only on targets already reduced
-    (0 <= r1 < 2N), which is what `decompose_heegner` returns.
+    Each term goes through `add_pullback_every_s` with its coefficient as
+    given, so no code of the library's round trip runs.
     """
-    from cyclecert.pullback import apply_decomposition
+    heeg: dict[tuple[int, int], int] = {}
+    omega = 0
+    for gen, coeff in decomp.terms:
+        omega += add_pullback_every_s(gen, coeff, heeg)
+    return heeg, omega
 
-    achieved = dict(apply_decomposition(decomp).heeg_coeffs)
-    achieved[decomp.target] = achieved.get(decomp.target, Fraction(0)) - 1
-    return {k: v for k, v in achieved.items() if v != 0}
+
+def round_trip_every_s(decomp):
+    """Round-trip residual of a decomposition on `Fraction` keys, from `sum_pullbacks_every_s`.
+
+    The target is subtracted, as given, on the integer keys, and `Fraction`
+    keys and values are built only for the nonzero entries at the end.  It
+    therefore agrees with `verify_decomposition` only on targets already
+    reduced (0 <= r1 < 2N), which is what `decompose_heegner` returns.
+    """
+    heeg, _ = sum_pullbacks_every_s(decomp)
+    four_n = 4 * decomp.level
+    m0, r1 = decomp.target
+    key = (int(m0 * four_n), r1)
+    heeg[key] = heeg.get(key, 0) - 1
+    return {(Fraction(k, four_n), r): Fraction(c) for (k, r), c in heeg.items() if c}
 
 
 @functools.lru_cache(maxsize=None)

@@ -257,7 +257,6 @@ RATIONAL_ENTRIES = {
     "DivisorClass_coeff": lambda coeff: cyclecert.DivisorClass(1, {(Fraction(3, 4), 1): coeff}),
     "DivisorClass_omega": lambda coeff: cyclecert.DivisorClass(1, omega_coeff=coeff),
     "DivisorClass_cusp": lambda coeff: cyclecert.DivisorClass(1, cusp_coeff=coeff),
-    "DivisorClass.scaled": lambda factor: cyclecert.DivisorClass(1).scaled(factor),
     "PullbackDecomposition": _hand_built,
     "scalar_rep_count": lambda value: cyclecert.scalar_rep_count(1, value, _r1(value)),
 }

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from cyclecert.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    build_parser,
     main,
     schema_text,
 )
@@ -263,51 +265,81 @@ def test_certify_survives_a_directory_in_place_of_a_newform_file(tmp_path, capsy
     assert payload["verdict"] == "proven_nontrivial"
 
 
+# each exported name and its user: a subcommand, `certify`, `selftest`, an acceptance criterion, a README
+# section or a bench layer.  A new export adds a row; a name whose last user goes leaves with its row.
+PUBLIC_USERS = {
+    "AmbientGenerator": ("subcommand", "pullback"),
+    "BQForm": ("subcommand", "heegner"),
+    "Certificate": ("subcommand", "certify"),
+    "CongruenceError": ("subcommand", "pullback"),
+    "CurveProfile": ("subcommand", "genus"),
+    "DiscElement": ("subcommand", "pullback"),
+    "DivisorClass": ("bench layer", "pullback"),
+    "GramLattice": ("subcommand", "lattice"),
+    "HeegnerDivisor": ("subcommand", "heegner"),
+    "HeegnerIndex": ("subcommand", "heegner"),
+    "LevelBoundError": ("subcommand", "genus"),
+    "NewformClient": ("subcommand", "newforms"),
+    "NewformRecord": ("subcommand", "newforms"),
+    "PayloadError": ("subcommand", "newforms"),
+    "PullbackDecomposition": ("acceptance criterion", 4),
+    "TransientFetchError": ("subcommand", "newforms"),
+    "WitnessIndeterminate": ("certify",),
+    "certify": ("subcommand", "certify"),
+    "chow_heegner_divisor": ("bench layer", "pullback"),
+    "class_number": ("subcommand", "genus"),
+    "cover_degree_over_x0": ("bench layer", "modcurves"),
+    "cover_profile": ("subcommand", "genus"),
+    "decompose_heegner": ("subcommand", "pullback"),
+    "eichler_relation_sides": ("selftest",),
+    "enumerate_heegner_divisor": ("subcommand", "heegner"),
+    "fricke_quotient_genus": ("subcommand", "genus"),
+    "full_matrix_lattice": ("subcommand", "lattice"),
+    "heegner_r_values": ("subcommand", "heegner"),
+    "hurwitz_class_number": ("acceptance criterion", 5),
+    "large_level_bound": ("certify",),
+    "minus_newspace_dim": ("acceptance criterion", 1),
+    "pullback_divisor": ("README section", "Library example"),
+    "scalar_rep_count": ("bench layer", "repcount"),
+    "special_divisor_index": ("subcommand", "pullback"),
+    "trace_zero_lattice": ("subcommand", "lattice"),
+    "verify_decomposition": ("subcommand", "pullback"),
+    "witness_minus_rank1": ("certify",),
+    "x0_profile": ("subcommand", "genus"),
+}
+
+
 def test_public_surface_is_pinned():
-    # a new public name, or a dropped one, is a deliberate change to this list
     import cyclecert
 
-    assert sorted(cyclecert.__all__) == [
-        "AmbientGenerator",
-        "BQForm",
-        "Certificate",
-        "CongruenceError",
-        "CurveProfile",
-        "DiscElement",
-        "DivisorClass",
-        "GramLattice",
-        "HeegnerDivisor",
-        "HeegnerIndex",
-        "LevelBoundError",
-        "NewformClient",
-        "NewformRecord",
-        "PayloadError",
-        "PullbackDecomposition",
-        "TransientFetchError",
-        "WitnessIndeterminate",
-        "apply_decomposition",
-        "certify",
-        "chow_heegner_divisor",
-        "class_number",
-        "cover_degree_over_x0",
-        "cover_profile",
-        "decompose_heegner",
-        "eichler_relation_sides",
-        "enumerate_heegner_divisor",
-        "fricke_quotient_genus",
-        "full_matrix_lattice",
-        "heegner_r_values",
-        "hurwitz_class_number",
-        "large_level_bound",
-        "minus_newspace_dim",
-        "pullback_divisor",
-        "scalar_rep_count",
-        "special_divisor_index",
-        "trace_zero_lattice",
-        "verify_decomposition",
-        "witness_minus_rank1",
-        "x0_profile",
-    ]
+    assert sorted(PUBLIC_USERS) == sorted(cyclecert.__all__) and len(PUBLIC_USERS) == 38
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sections = {}
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                heading = line.lstrip("#").strip()
+                sections[heading] = ""
+            else:
+                sections[heading] += line
+    with open(os.path.join(root, "tests", "test_acceptance.py"), encoding="utf-8") as fh:
+        acceptance = fh.read()
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        layers = {metric["name"].split(".")[0] for metric in json.load(fh)["per_layer"]}
+    for name, user in PUBLIC_USERS.items():
+        kind = user[0]
+        if kind == "subcommand":
+            assert user[1] in subparsers.choices, name
+        elif kind == "acceptance criterion":
+            assert "def test_criterion_%d_" % user[1] in acceptance, name
+        elif kind == "README section":
+            assert name in sections[user[1]], name
+        elif kind == "bench layer":
+            assert user[1] in layers, name
+        else:
+            assert user in (("certify",), ("selftest",)), name
     assert len(set(cyclecert.__all__)) == len(cyclecert.__all__)
     for name in cyclecert.__all__:
         assert getattr(cyclecert, name) is not None, name

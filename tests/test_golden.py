@@ -16,13 +16,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from cyclecert import arith
+from cyclecert import arith, large_level_bound
 from cyclecert.cli import build_parser, main
 
 DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden_digests.json")
@@ -50,6 +51,42 @@ def _heegner_cases():
             yield {"N": n, "D": d, "r": None}
     yield {"N": 9998, "D": -7, "r": None}
     yield {"N": 30030, "D": -1559, "r": 599}
+
+
+def _next_prime(n):
+    while not arith.is_prime(n):
+        n += 1
+    return n
+
+
+def _certify_large_cases():
+    # 300 seeded levels up to 10**24: 100 divisors of B = large_level_bound(),
+    # 100 products of primes up to 71 below 10**15 that do not divide B,
+    # 60 semiprimes near 10**14 that `factor` splits by rho, and 40
+    # products of two 12-digit primes above B, left unsplit
+    rng = random.Random(2)
+    bound = large_level_bound()
+    known, _ = arith.factor(bound)
+    for _ in range(100):
+        n = 1
+        for p, e in known.items():
+            n *= p ** rng.randint(0, e)
+        yield {"N": n}
+    small_primes = _primes(71)
+    smooth = 0
+    while smooth < 100:
+        n = 1
+        while n * (p := rng.choice(small_primes)) <= 10**15:
+            n *= p
+        if bound % n:
+            smooth += 1
+            yield {"N": n}
+    for _ in range(60):
+        p = _next_prime(rng.randrange(10**6, 10**7))
+        yield {"N": p * _next_prime(10**14 // p + rng.randrange(10**6))}
+    for _ in range(40):
+        p, q = (_next_prime(rng.randrange(3 * 10**11, 10**12)) for _ in range(2))
+        yield {"N": p * q}
 
 
 # computation errors, each refused with one "error:" line: the level rule,
@@ -102,17 +139,22 @@ def _error_outputs(parser):
         yield json.dumps({"argv": argv, "exit": code, "stderr": err}, sort_keys=True) + "\n"
 
 
-def _offline_newforms(parser):
-    """`newforms M` offline for every M <= 400, with `_NEWFORM_SETTINGS` unset.
+def _offline(argv, cases):
+    """`_handler_outputs(argv, cases)` run with `_NEWFORM_SETTINGS` unset.
 
-    That is every level of the bundled snapshot, the largest 343, and the
-    levels around them that it does not cover, which print no records.
+    The command line reads CACHE_DIR for an offline `newforms` or `certify`
+    too, so a cache the caller set up would otherwise change the output.
     """
-    saved = {name: os.environ.pop(name) for name in _NEWFORM_SETTINGS if name in os.environ}
-    try:
-        yield from _handler_outputs(["newforms", "1"], lambda: ({"M": m} for m in range(1, 401)))(parser)
-    finally:
-        os.environ.update(saved)
+    outputs = _handler_outputs(argv, cases)
+
+    def offline(parser):
+        saved = {name: os.environ.pop(name) for name in _NEWFORM_SETTINGS if name in os.environ}
+        try:
+            yield from outputs(parser)
+        finally:
+            os.environ.update(saved)
+
+    return offline
 
 
 # group -> the text of its invocations, given the parser built once
@@ -122,10 +164,12 @@ GROUPS = {
     "genus_x0star": _handler_outputs(["genus", "2", "--curve", "x0star"], lambda: ({"N": p} for p in _primes(2000))),
     "heegner": _handler_outputs(["heegner", "1", "-3"], _heegner_cases),
     "pullback": _handler_outputs(["pullback", "1", "--m0", "1/4", "--r", "1"], _pullback_cases),
-    "certify": _handler_outputs(["certify", "1"], lambda: ({"N": n} for n in range(1, 2001))),
+    "certify": _offline(["certify", "1"], lambda: ({"N": n} for n in range(1, 2001))),
+    "certify_large": _offline(["certify", "1"], _certify_large_cases),
     "lattice": _handler_outputs(["lattice", "1"], lambda: ({"N": n} for n in range(1, 1001))),
     "errors": _error_outputs,
-    "newforms": _offline_newforms,
+    # every level of the bundled snapshot, the largest 343, and the levels between, which print no records
+    "newforms": _offline(["newforms", "1"], lambda: ({"M": m} for m in range(1, 401))),
     "selftest": _handler_outputs(["selftest"], lambda: ({},)),
 }
 

@@ -13,7 +13,6 @@ from cyclecert.pullback import (
     AmbientGenerator,
     DivisorClass,
     PullbackDecomposition,
-    apply_decomposition,
     chow_heegner_divisor,
     decompose_heegner,
     pullback_divisor,
@@ -24,8 +23,9 @@ from oracles import (
     inverse_theta_coeffs,
     pullback_by_splitting,
     q_mod1,
-    round_trip_by_divisor_class,
+    round_trip_every_s,
     special_divisor_index_by_fractions,
+    sum_pullbacks_every_s,
 )
 
 
@@ -42,7 +42,7 @@ def test_pullback_of_base_generator_is_adjunction():
 
 def test_pullback_of_nonzero_mu_at_zero_norm_vanishes():
     d = pullback_divisor(gen(1, 0, 1, 1))
-    assert d.is_zero()
+    assert (d.heeg_coeffs, d.omega_coeff, d.cusp_coeff) == ({}, 0, 0)
     assert not d.cusp_ambiguous
 
 
@@ -122,19 +122,23 @@ def test_round_trip_small_levels():
 def test_round_trip_cancels_omega_exactly():
     for level, m0, r1 in [(1, 4, 0), (2, 8, 0), (3, 3, 0)]:
         dec = decompose_heegner(level, m0, r1)
-        total = apply_decomposition(dec)
-        assert total.omega_coeff == 0
+        assert verify_decomposition(dec) == {}
+        # the Z*(0, 0) coefficient cancels the rungs' Omega parts, by the every-s reference
+        assert sum_pullbacks_every_s(dec)[1] == 0
 
 
 def test_pullback_linearity_on_heeg_coefficients():
+    # the round trip of a*Z1 + b*Z2, plus its target, is a*pullback(Z1) + b*pullback(Z2)
     g1, g2 = gen(2, 1, 0, 0), gen(2, 2, 0, 0)
     a, b = Fraction(3, 2), Fraction(-5)
-    lhs = pullback_divisor(g1).scaled(a) + pullback_divisor(g2).scaled(b)
+    target = (Fraction(1), 0)
+    lhs = dict(verify_decomposition(PullbackDecomposition(2, target, ((g1, a), (g2, b)))))
+    lhs[target] = lhs.get(target, Fraction(0)) + 1
     rhs = {}
     for g, c in ((g1, a), (g2, b)):
         for k, v in pullback_divisor(g).heeg_coeffs.items():
             rhs[k] = rhs.get(k, Fraction(0)) + c * v
-    assert lhs.heeg_coeffs == {k: v for k, v in rhs.items() if v != 0}
+    assert {k: v for k, v in lhs.items() if v != 0} == {k: v for k, v in rhs.items() if v != 0} != {}
 
 
 def test_pullback_support_bound():
@@ -164,30 +168,6 @@ def test_divisor_class_rejects_bad_keys():
         DivisorClass(level=2, heeg_coeffs={(Fraction(0), 0): Fraction(1)})
     ok = DivisorClass(level=2, heeg_coeffs={(Fraction(7, 8), 5): 3})
     assert ok.heeg_coeffs == {(Fraction(7, 8), 1): Fraction(3)}
-    with pytest.raises(ValueError):
-        ok + DivisorClass(level=1)
-
-
-def test_sums_and_multiples_do_not_revalidate(monkeypatch):
-    a = pullback_divisor(gen(2, 3, 0, 0))
-    b = pullback_divisor(gen(2, 2, 0, 0))
-    c = DivisorClass(2, cusp_coeff=Fraction(3, 2))
-    d = DivisorClass(2, cusp_coeff=Fraction(1, 4), cusp_ambiguous=True)
-
-    def refuse(*args):
-        raise AssertionError("operands were validated when built")
-
-    monkeypatch.setattr(pullback_mod, "special_divisor_index", refuse)
-    total = a.scaled(Fraction(1, 2)) + b
-    assert total.heeg_coeffs == {
-        (Fraction(3), 0): Fraction(1, 2),
-        (Fraction(2), 0): Fraction(1),
-        (Fraction(1), 0): Fraction(1),
-    }
-    assert total.omega_coeff == -2
-    assert a.scaled(0).is_zero()
-    assert ((c + d).cusp_coeff, (c + d).cusp_ambiguous) == (Fraction(7, 4), True)
-    assert ((c + c).cusp_coeff, (c + c).cusp_ambiguous) == (Fraction(3), False)
 
 
 def test_round_trip_validates_only_the_surviving_key(monkeypatch):
@@ -201,7 +181,7 @@ def test_round_trip_validates_only_the_surviving_key(monkeypatch):
     monkeypatch.setattr(pullback_mod, "special_divisor_index", counted)
     dec = decompose_heegner(1, 300, 0)
     assert verify_decomposition(dec) == {}
-    assert apply_decomposition(dec).omega_coeff == 0
+    assert sum_pullbacks_every_s(dec)[1] == 0
     assert chow_heegner_divisor(1, dec).heeg_coeffs == {(Fraction(300), 0): 1}
     # the decomposition keeps the index its target was validated to; the round reads it
     assert calls == [(1, 300, 0)]
@@ -243,8 +223,8 @@ def test_long_ladder_round_trip():
     dec = decompose_heegner(1, 2000, 0)
     assert len(dec.terms) == 2001
     assert verify_decomposition(dec) == {}
-    assert apply_decomposition(dec).omega_coeff == 0
     assert time.monotonic() - start < 2.0
+    assert sum_pullbacks_every_s(dec)[1] == 0
 
 
 def test_chow_heegner_divisor_rejects_a_decomposition_at_another_level():
@@ -339,13 +319,12 @@ def test_round_trip_matches_divisor_class_oracle():
         cases = (dec, *_tampered(dec))
         for case in cases:
             got = verify_decomposition(case)
-            want = round_trip_by_divisor_class(case)
+            want = round_trip_every_s(case)
             assert _typed(got) == _typed(want), (level, scaled, r1, case.terms)
             assert all(type(m) is Fraction and 0 <= r < 2 * level for m, r in got)
             seen_nonzero += bool(got)
-        # the ladder and the tamperings that keep its shape are tested packed; misshapen ones are only
-        # summed, by the loop the oracle runs too, so they are checked for their shape alone, and a
-        # one-rung ladder reversed is the ladder itself
+        # the ladder and the tamperings that keep its shape are tested packed, misshapen ones only
+        # summed; a one-rung ladder reversed is the ladder itself
         assert all(pullback_mod._ladder_coeffs(case) is not None for case in (cases[0], cases[1], cases[5]))
         one_rung = len(_rungs_and_tail(dec)[0]) == 1
         misshapen = [pullback_mod._ladder_coeffs(case) is not None for case in _misshapen(dec)]
@@ -362,7 +341,7 @@ def test_ladder_shaped_decompositions_match_the_reference():
         for bits in (1, 2, 3, 8, 40):
             for coeff in (2**bits - 1, 1 - 2**bits, 2 ** (bits - 1)):
                 case = PullbackDecomposition(level, dec.target, tuple((g, coeff) for g in rungs))
-                want = round_trip_by_divisor_class(case)
+                want = round_trip_every_s(case)
                 assert pullback_mod._ladder_coeffs(case) == [coeff] * len(rungs)
                 assert pullback_mod._ladder_round_trips([coeff] * len(rungs)) is (want == {}), (m0, coeff)
                 assert _typed(verify_decomposition(case)) == _typed(want), (m0, coeff)
@@ -371,18 +350,18 @@ def test_ladder_shaped_decompositions_match_the_reference():
         dec = decompose_heegner(level, m0, r1)
         case = PullbackDecomposition(level, dec.target, tuple((AmbientGenerator(g.m, mu), c) for g, c in dec.terms))
         assert pullback_mod._ladder_coeffs(case) is None
-        assert verify_decomposition(case) == round_trip_by_divisor_class(case) != {}
+        assert verify_decomposition(case) == round_trip_every_s(case) != {}
 
 
 def test_ladders_round_trip_without_summing_pullbacks(monkeypatch):
     calls = []
-    summed = pullback_mod._sum_pullbacks
+    add = pullback_mod._add_pullback
 
-    def counted(decomp):
-        calls.append(decomp)
-        return summed(decomp)
+    def counted(gen, coeff, heeg):
+        calls.append(gen)
+        return add(gen, coeff, heeg)
 
-    monkeypatch.setattr(pullback_mod, "_sum_pullbacks", counted)
+    monkeypatch.setattr(pullback_mod, "_add_pullback", counted)
     ladders = tails = 0
     for level, scaled, r1 in _targets(30, 480):
         dec = decompose_heegner(level, Fraction(scaled, 4 * level), r1)
@@ -390,8 +369,11 @@ def test_ladders_round_trip_without_summing_pullbacks(monkeypatch):
         ladders += 1
         tails += dec.terms[-1][0].m == 0
     assert calls == [] and ladders == 7157 and tails > 0
-    # the reference loop still sums every other use of the terms
-    assert apply_decomposition(dec).omega_coeff == 0 and calls == [dec]
+    # a ladder whose packed test fails is summed term by term; the reference cancels its Omega parts
+    bumped = next(_tampered(dec))
+    assert verify_decomposition(bumped) == round_trip_every_s(bumped) != {}
+    assert calls == [g for g, _ in bumped.terms]
+    assert sum_pullbacks_every_s(dec)[1] == 0
 
 
 def test_round_trip_validates_and_reduces_the_target():
@@ -413,12 +395,8 @@ def test_round_trip_validates_and_reduces_the_target():
 def test_round_trip_rejects_mixed_levels_like_the_oracle():
     dec = decompose_heegner(2, 1, 0)
     # a term at another level is refused when the decomposition is built, so no round trip sees it
-    with pytest.raises(ValueError, match="^cannot add classes at different levels$") as built:
+    with pytest.raises(ValueError, match="^cannot add classes at different levels$"):
         PullbackDecomposition(dec.level, dec.target, dec.terms + ((gen(1, 1, 0), Fraction(1)),))
-    # with the message the divisor-class algebra gives for the same sum
-    with pytest.raises(ValueError) as summed:
-        pullback_divisor(dec.terms[0][0]) + pullback_divisor(gen(1, 1, 0))
-    assert str(built.value) == str(summed.value)
 
 
 def test_a_decomposition_stores_tuples_and_hashes():
@@ -441,8 +419,8 @@ def test_ladder_coefficients_are_ints():
 
 def test_round_trip_subtracts_a_target_the_terms_miss():
     dec = PullbackDecomposition(level=3, target=(Fraction(2, 3), 2), terms=())
-    assert verify_decomposition(dec) == round_trip_by_divisor_class(dec) == {(Fraction(2, 3), 2): -1}
-    for round_trip in (verify_decomposition, round_trip_by_divisor_class):
+    assert verify_decomposition(dec) == round_trip_every_s(dec) == {(Fraction(2, 3), 2): -1}
+    for round_trip in (verify_decomposition, round_trip_every_s):
         with pytest.raises(ValueError, match="positive"):
             round_trip(PullbackDecomposition(0, dec.target, dec.terms))
 
@@ -500,8 +478,8 @@ def test_pullback_keys_are_validated_once_at_the_boundary(monkeypatch):
     monkeypatch.setattr(pullback_mod, "special_divisor_index", counted)
     assert pullback_divisor(gen(1, 200, 0, 0)) == d
     assert calls == []
-    # the decomposition's target was checked when it was built, so applying it checks nothing
-    assert apply_decomposition(dec).heeg_coeffs == {(Fraction(200), 0): 1}
+    # the decomposition's target was checked when it was built, so its round trip checks nothing
+    assert verify_decomposition(dec) == {}
     assert calls == []
 
 
@@ -571,13 +549,6 @@ def _random_decomposition(rng, level):
     return PullbackDecomposition(level, target, tuple(terms))
 
 
-def _every_s_sum(decomp):
-    heeg, omega = {}, Fraction(0)
-    for gen, coeff in decomp.terms:
-        omega += add_pullback_every_s(gen, Fraction(coeff), heeg)
-    return heeg, omega
-
-
 def test_apply_and_verify_match_the_every_s_reference_on_mixed_decompositions():
     rng = random.Random(22)
     residuals = 0
@@ -585,14 +556,20 @@ def test_apply_and_verify_match_the_every_s_reference_on_mixed_decompositions():
         level = rng.randrange(1, 9)
         four_n = 4 * level
         dec = _random_decomposition(rng, level)
-        heeg, omega = _every_s_sum(dec)
+        heeg, omega = sum_pullbacks_every_s(dec)
         want = {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}
-        got = apply_decomposition(dec)
-        assert got.heeg_coeffs == want and got.omega_coeff == omega, trial
-        assert got.cusp_ambiguous == any(g.m != 0 for g, _ in dec.terms)
+        # the decomposition applied term by term, through the pullback of each generator
+        got_heeg, got_omega = {}, Fraction(0)
+        for g, c in dec.terms:
+            d = pullback_divisor(g)
+            assert d.cusp_ambiguous == (g.m != 0) and d.cusp_coeff == 0
+            for k, v in d.heeg_coeffs.items():
+                got_heeg[k] = got_heeg.get(k, Fraction(0)) + c * v
+            got_omega += c * d.omega_coeff
+        assert {k: v for k, v in got_heeg.items() if v} == want and got_omega == omega, trial
         # within each r1 the keys come in the reference's first-seen order
         for r1 in range(2 * level):
-            assert [k for k in got.heeg_coeffs if k[1] == r1] == [k for k in want if k[1] == r1]
+            assert [k for k in got_heeg if k[1] == r1 and got_heeg[k]] == [k for k in want if k[1] == r1]
         idx = special_divisor_index_by_fractions(level, *dec.target)
         target = (-idx.disc, idx.r)
         heeg[target] = heeg.get(target, 0) - 1

@@ -208,6 +208,13 @@ def _decomposition(term):
         (lambda: BQForm(1.5, "x", None), "^a, b and c must be integers$"),
         (lambda: BQForm(1, True, 1), "^a, b and c must be integers$"),
         (lambda: _decomposition(("x", 1)), "^a term must pair an AmbientGenerator with a coefficient$"),
+        # a bare generator, a target of three and a key that is no pair are not unpacked into a TypeError
+        (
+            lambda: _decomposition(AmbientGenerator(Fraction(3, 4), DiscElement(1, 1, 0))),
+            "a term must pair an AmbientGenerator with a coefficient$",
+        ),
+        (lambda: PullbackDecomposition(1, (Fraction(3, 4), 1, 0), ()), "^a target must be a pair \\(m0, r1\\)$"),
+        (lambda: DivisorClass(1, {Fraction(3, 4): 1}), "^a Heegner key must be a pair \\(m0, r1\\)$"),
         (
             lambda: _decomposition((AmbientGenerator(Fraction(7, 8), DiscElement(2, 1, 0)), 1)),
             "^cannot add classes at different levels$",
