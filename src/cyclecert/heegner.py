@@ -179,9 +179,11 @@ class HeegnerDivisor(_Record):
     """Classes of a Heegner divisor with their weights, and its degree, the weights' sum.
 
     The index is a `HeegnerIndex`, the classes a tuple of (`BQForm`, weight)
-    pairs, and each weight and the degree an `int` or a `Fraction`, else
-    ValueError.  `self_paired` is the index's `self_paired()`.  The degree is
-    given, not summed here: the enumeration adds the weights as integer sixths.
+    pairs, and each weight and the degree an `int` or a `Fraction`; each form
+    has discriminant D with N | a and b = r mod 2N, and the degree is the
+    weights' sum, else ValueError.  `self_paired` is the index's
+    `self_paired()`.  The enumeration, which adds the weights as integer
+    sixths, builds its divisors without these checks.
     """
 
     _fields = ("index", "classes", "degree", "self_paired")
@@ -196,6 +198,13 @@ class HeegnerDivisor(_Record):
         for _, weight in classes:
             _check_rational(weight)
         _check_rational(degree)
+        n, r = index.level, index.r
+        for form, _ in classes:
+            if form.discriminant() != index.disc or form.a % n or (form.b - r) % (2 * n):
+                raise ValueError("%r is not of discriminant D with N | a and b = r mod 2N at %r" % (form, index))
+        total = sum(weight for _, weight in classes)
+        if degree != total:
+            raise ValueError("degree %s differs from the weights' sum %s" % (degree, total))
         self._store(index, classes, degree, index.self_paired())
 
 

@@ -21,11 +21,6 @@ from .arith import LevelBoundError  # re-exported, so modcurves.LevelBoundError 
 from .heegner import class_number
 
 
-def _phi_power(p: int, e: int) -> int:
-    # phi(p**e), with no factorization dict to build
-    return p ** (e - 1) * (p - 1) if e else 1
-
-
 def _genus(index: int, nu2: int, nu3: int, cusps: int) -> int:
     # 12(g - 1) = index - 3*nu2 - 4*nu3 - 6*cusps
     genus, rem = divmod(12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps, 12)
@@ -64,9 +59,10 @@ def x0_profile(level: int) -> CurveProfile:
     # nu2 = prod(1 + (-4/p)) unless 4 | N, nu3 = prod(1 + (-3/p)) unless 9 | N
     nu2 = 0 if n % 4 == 0 else prod(2 if p % 4 == 1 else 0 for p in factors if p != 2)
     nu3 = 0 if n % 9 == 0 else prod(2 if p % 3 == 1 else 0 for p in factors if p != 3)
-    # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at
-    # p^e || N the divisors p^i contribute phi(p^min(i, e - i))
-    cusps = prod(sum(_phi_power(p, min(i, e - i)) for i in range(e + 1)) for p, e in factors.items())
+    # cusps = sum over d | N of phi(gcd(d, N/d)), multiplicative in N: at p^e || N
+    # the divisors p^i contribute phi(p^min(i, e - i)), in all 2p^k at e = 2k + 1
+    # and p^(k-1)(p + 1) at e = 2k
+    cusps = prod(2 * p ** (e // 2) if e % 2 else p ** (e // 2 - 1) * (p + 1) for p, e in factors.items())
     return CurveProfile("x0", n, index, nu2, nu3, cusps)
 
 
@@ -94,14 +90,14 @@ def _cover_profile(level: int, factors: dict[int, int]) -> CurveProfile:
     if level == 1:
         cusps = 3  # -I lies in the group, the three cusps of Gamma(2)
     else:
-        # cusps = sum over d | 2N of phi(d) * phi(2N/d) * gcd(d, N) / d, multiplicative
-        # in 2N: at p^e || 2N the divisors p^i contribute phi(p^i) * phi(p^(e - i)), in all
-        # 2(p - 1)p^(e-1) + (e - 1)(p - 1)^2 p^(e-2), with the i = e term halved at p = 2.
-        # That term can be a half-integer, so count twice the cusps and halve once.
-        twice = 1
-        for p, e in twice_factors.items():
-            local = (p - 1) * p ** (e - 1) * (2 * p + (e - 1) * (p - 1)) // p
-            twice *= 2 * local - _phi_power(p, e) if p == 2 else local
+        # cusps = sum over d | 2N of phi(d) * phi(2N/d) * gcd(d, N) / d, multiplicative in 2N:
+        # at p^e || 2N the divisors p^i contribute phi(p^i) * phi(p^(e - i)), in all
+        # 2(p - 1)p^(e-1) + (e - 1)(p - 1)^2 p^(e-2) for odd p and, the i = e term halved,
+        # (e + 2)2^(e-2) at p = 2, a half-integer at e = 1: so count twice the cusps and halve once
+        twice = prod(
+            (e + 2) * 2 ** (e - 1) if p == 2 else (p - 1) * p ** (e - 1) * (2 * p + (e - 1) * (p - 1)) // p
+            for p, e in twice_factors.items()
+        )
         cusps, odd = divmod(twice, 2)
         if odd:
             raise RuntimeError("twice the cusp count at level %d is odd" % level)
@@ -112,14 +108,15 @@ def fricke_quotient_genus(p: int) -> int:
     """Genus of the quotient of X_0(p) by its Fricke involution, p prime.
 
     Riemann-Hurwitz with the classical fixed-point count: nu = h(-4p) for
-    p = 1 mod 4 and h(-4p) + h(-p) for p = 3 mod 4, p > 3; the levels 2 and 3
-    are genus 0 outright.  A p that is no level fails the level rule
-    (`arith._check_level`), and a composite level raises ValueError after it.
+    p = 1 mod 4 and h(-4p) + h(-p) for p = 3 mod 4, which gives genus 0 at
+    p = 3; the level 2 is genus 0 outright.  A p that is no level fails the
+    level rule (`arith._check_level`), and a composite level raises
+    ValueError after it.
     """
     arith._check_level(p)
     if not arith.is_prime(p):
         raise ValueError("p must be prime")
-    if p in (2, 3):
+    if p == 2:
         return 0
     g0 = x0_profile(p).genus
     nu = class_number(4 * p)

@@ -15,11 +15,10 @@ trip and `chow_heegner_divisor` check nothing again, and a decompose,
 verify and chow round takes one `special_divisor_index` call.  Inside, a
 ladder rung keeps its valid target's congruence m = q(mu) mod 1 and is
 built unchecked with an `int` coefficient.  The round trip of such a ladder
-is one product of packed integers; other pullbacks are summed per r1 on the
-integer keys 4N*m0, visiting s and -s once where both split.  Every key a
-pullback reaches is valid, so the classes returned are built without
-checking their keys again, and `Fraction` keys appear only in what is
-returned.
+is one product of packed integers; other pullbacks are summed one splitting
+at a time on the integer keys (4N*m0, r1).  Every key a pullback reaches is
+valid, so the classes returned are built without checking their keys
+again, and `Fraction` keys appear only in what is returned.
 """
 
 from __future__ import annotations
@@ -158,15 +157,17 @@ class PullbackDecomposition(_Record):
         return next((c for g, c in self.terms if g == gen), 0)
 
 
-def _add_pullback(gen: AmbientGenerator, coeff: int | Fraction, heeg: dict[int, int | Fraction]) -> int | Fraction:
+def _add_pullback(
+    gen: AmbientGenerator,
+    coeff: int | Fraction,
+    heeg: dict[tuple[int, int], int | Fraction],
+) -> int | Fraction:
     """Add coeff times the Heegner part of the pullback of gen into heeg; return its Omega part.
 
-    `heeg` holds gen's r1 alone, keyed by the integer 4N*m0.  A splitting is
-    one s = r2 mod 2N with s**2 <= 4N*m, giving 4N*m0 = 4N*m - s**2; s and
-    -s both count, which is the scalar line's representation count.  When
-    both lie in the class of r2 (r2 = 0 or N, as on every ladder rung), each
-    s < 0 is visited once with weight 2, for itself and -s, and s = 0 last.
-    Keys are first seen in the order of s from -isqrt(4N*m) up.
+    `heeg` is keyed by (4N*m0, r1).  A splitting is one s = r2 mod 2N with
+    s**2 <= 4N*m, giving 4N*m0 = 4N*m - s**2, and s = +-sqrt(4N*m) gives
+    -Omega when r1 = 0.  Keys are first seen in the order of s from
+    -isqrt(4N*m) up.
     """
     four_nm = gen._four_nm
     if four_nm == 0:
@@ -175,22 +176,20 @@ def _add_pullback(gen: AmbientGenerator, coeff: int | Fraction, heeg: dict[int, 
     two_n = 2 * gen.mu.level
     smax = isqrt(four_nm)
     omega = 0
-    weight, stop = (coeff, smax + 1) if (2 * r2) % two_n else (2 * coeff, 0)
-    for s in range(-smax + (r2 + smax) % two_n, stop, two_n):
+    for s in range(-smax + (r2 + smax) % two_n, smax + 1, two_n):
         rest = four_nm - s * s
         if rest:
-            heeg[rest] = heeg.get(rest, 0) + weight
+            key = (rest, r1)
+            heeg[key] = heeg.get(key, 0) + coeff
         elif r1 == 0:
-            omega -= weight
-    if r2 == 0:
-        heeg[four_nm] = heeg.get(four_nm, 0) + coeff
+            omega -= coeff
     return omega
 
 
-def _heeg_fractions(level: int, by_r1: dict[int, dict[int, int | Fraction]]) -> dict[HeegKey, Fraction]:
-    """`Fraction` keys and values for the nonzero entries of {r1: {4N*m0: coefficient}}."""
+def _heeg_fractions(level: int, heeg: dict[tuple[int, int], int | Fraction]) -> dict[HeegKey, Fraction]:
+    """`Fraction` keys and values for the nonzero entries of {(4N*m0, r1): coefficient}."""
     four_n = 4 * level
-    return {(Fraction(k, four_n), r1): Fraction(c) for r1, heeg in by_r1.items() for k, c in heeg.items() if c}
+    return {(Fraction(k, four_n), r1): Fraction(c) for (k, r1), c in heeg.items() if c}
 
 
 def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
@@ -204,10 +203,10 @@ def pullback_divisor(gen: AmbientGenerator) -> DivisorClass:
     representative is 0.  For m = 0 the pullback is -2*Omega at mu = 0 by
     adjunction, and the zero class otherwise.
     """
-    heeg: dict[int, int] = {}
+    heeg: dict[tuple[int, int], int] = {}
     omega = _add_pullback(gen, 1, heeg)
     # the keys are valid by construction and r1 is reduced, so the trusted constructor takes them
-    heeg_coeffs = _heeg_fractions(gen.level, {gen.mu.r1: heeg})
+    heeg_coeffs = _heeg_fractions(gen.level, heeg)
     return DivisorClass._from_valid(gen.level, heeg_coeffs, Fraction(omega), _ZERO, gen._four_nm != 0)
 
 
@@ -332,7 +331,7 @@ def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fractio
     by `_ladder_round_trips`, one product of packed integers: O(L) Python
     steps and isqrt(L) big-integer shifts for L rungs, and an exact ladder
     returns {} there.  Otherwise the terms, checked when the decomposition
-    was built, are summed per r1 on such integers, where each splitting of a
+    was built, are summed on (4N*m0, r1) keys, where each splitting of a
     valid generator lands on a valid key, and the target is subtracted there;
     `Fraction` keys and values are built only for the entries returned.
     Omega and cusp coefficients are excluded: the cusp coefficient of a
@@ -342,13 +341,12 @@ def verify_decomposition(decomp: PullbackDecomposition) -> dict[HeegKey, Fractio
     coeffs = _ladder_coeffs(decomp)
     if coeffs is not None and _ladder_round_trips(coeffs):
         return {}
-    idx = decomp._index
-    by_r1: dict[int, dict[int, int | Fraction]] = {}
+    heeg: dict[tuple[int, int], int | Fraction] = {}
     for gen, coeff in decomp.terms:
-        _add_pullback(gen, coeff, by_r1.setdefault(gen.mu.r1, {}))
-    heeg = by_r1.setdefault(idx.r, {})
-    heeg[-idx.disc] = heeg.get(-idx.disc, 0) - 1
-    return _heeg_fractions(decomp.level, by_r1)
+        _add_pullback(gen, coeff, heeg)
+    target = (-decomp._index.disc, decomp._index.r)
+    heeg[target] = heeg.get(target, 0) - 1
+    return _heeg_fractions(decomp.level, heeg)
 
 
 def chow_heegner_divisor(level: int, decomp: PullbackDecomposition) -> DivisorClass:

@@ -5,8 +5,9 @@ congruence diagonalization, determinants by cofactor expansion and
 discriminant groups by Smith normal form, the discriminant form and matrix
 representatives of discriminant-group elements from their residues,
 modular-curve data by direct coset/orbit
-enumeration, SL2(Z/m) orders by the product formula over trial division,
-elliptic-point counts by polynomial root counting, primality
+enumeration, cusp counts by divisor sums with phi by trial division or,
+at prime powers, from its definition, SL2(Z/m) orders by the product
+formula over trial division, elliptic-point counts by polynomial root counting, primality
 by trial division below 10**6 and by the Baillie-PSW test (a strong base-2
 test and a strong Lucas test with Selfridge's parameters) above, and by
 Miller-Rabin with all 13
@@ -369,13 +370,14 @@ def pullback_by_splitting(level: int, four_nm: int, r1: int, r2: int) -> tuple[d
 
 
 def add_pullback_every_s(gen, coeff, heeg: dict) -> int:
-    """The pullback summation before it visited s and -s once, kept as a reference.
+    """A frozen copy of the library's splitting loop, `cyclecert.pullback._add_pullback`.
 
     Adds into `heeg` on (4N*m0, r1) tuple keys and returns the Omega part,
-    walking every s = r2 mod 2N from -isqrt(4N*m) up; its first-seen key
-    order is the one the library keeps within each r1.
+    walking every s = r2 mod 2N from -isqrt(4N*m) up; it pins the library's
+    values and first-seen key order against later edits of that loop.  The
+    independent reference, which tries every integer s, is
+    `pullback_by_splitting`.
     """
-    # verbatim from cyclecert.pullback._add_pullback, before it summed per r1
     four_nm = gen._four_nm
     if four_nm == 0:
         return -2 * coeff if gen.mu.is_zero() else 0
@@ -906,18 +908,48 @@ def x0_genus_by_formula(n: int) -> int:
         index = index // p * (p + 1)
     nu2 = 0 if n % 4 == 0 else functools.reduce(lambda acc, p: acc * (1 + _kronecker_minus(4, p)), primes, 1)
     nu3 = 0 if n % 9 == 0 else functools.reduce(lambda acc, p: acc * (1 + _kronecker_minus(3, p)), primes, 1)
-    cusps = sum(_phi_by_trial(gcd(d, n // d)) for d in range(1, n + 1) if n % d == 0)
+    cusps = x0_cusps_by_divisor_sum(n, divisors_by_trial_division(n), phi_by_trial_division)
     twelve_g = 12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps
     if twelve_g % 12:
         raise AssertionError("12g of X_0(%d) is %d, not a multiple of 12" % (n, twelve_g))
     return twelve_g // 12
 
 
-def _phi_by_trial(n: int) -> int:
+def phi_by_trial_division(n: int) -> int:
+    """Euler's phi: n * prod over the primes p | n of (1 - 1/p), the primes found by trial division."""
     out = n
     for p in _prime_factors_by_trial(n):
         out = out // p * (p - 1)
     return out
+
+
+def phi_of_prime_power(q: int, p: int) -> int:
+    """phi(q) for q a power of the prime p, from its definition: of q residues, the q/p multiples of p are no units."""
+    return q - q // p
+
+
+def divisors_by_trial_division(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def x0_cusps_by_divisor_sum(n: int, divisors, phi) -> int:
+    """Cusps of X_0(N): the sum over the given divisors d of N of phi(gcd(d, N/d))."""
+    return sum(phi(gcd(d, n // d)) for d in divisors)
+
+
+def cover_cusps_by_divisor_sum(n: int, divisors, phi) -> int:
+    """Cusps of the cover curve at N >= 2: the sum over the given divisors d of 2N of phi(d) phi(2N/d) gcd(d, N)/d.
+
+    The terms are summed as `Fraction`s, and a sum that is no integer raises
+    AssertionError.  At N = 1 the group holds -I and the curve has twice
+    this sum, 3, cusps.
+    """
+    two_n = 2 * n
+    total = sum((Fraction(phi(d) * phi(two_n // d) * gcd(d, n), d) for d in divisors), Fraction(0))
+    if total.denominator != 1:
+        raise AssertionError("the cover's cusp sum at N = %d is %s, no integer" % (n, total))
+    return total.numerator
 
 
 def primitive_class_number_by_walk(n: int) -> int:

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from math import isqrt
@@ -16,12 +17,17 @@ from cyclecert.modcurves import (
     x0_profile,
 )
 from oracles import (
+    cover_cusps_by_divisor_sum,
     cover_image,
     cover_index_by_crt,
     cover_profile_by_enumeration,
+    divisors_by_trial_division,
     fricke_prime_square_genus,
     fricke_quotient_genus_by_fixed_points,
+    phi_by_trial_division,
+    phi_of_prime_power,
     sl2_order_by_formula,
+    x0_cusps_by_divisor_sum,
     x0_data_by_enumeration,
     x0_genus_by_formula,
 )
@@ -263,8 +269,29 @@ def test_level_below_one_is_rejected(call, level):
         call(level)
 
 
-def test_odd_twice_cusp_count_raises_without_asserts(monkeypatch):
-    # a raise, not an assert: the profile goes into certificates, also under python -O
-    monkeypatch.setattr(modcurves, "_phi_power", lambda p, e: p ** (e - 1) * (p - 1) + 1 if e else 1)
+def test_cusp_closed_forms_match_the_divisor_sums():
+    phi = functools.cache(phi_by_trial_division)
+    for n in range(1, 5001):
+        assert x0_profile(n).cusps == x0_cusps_by_divisor_sum(n, divisors_by_trial_division(n), phi), n
+    for n in range(2, 5001):
+        assert cover_profile(n).cusps == cover_cusps_by_divisor_sum(n, divisors_by_trial_division(2 * n), phi), n
+    # 101**12 lies above the factoring bound, and its profiles are refused
+    for p, top in ((2, 12), (3, 12), (101, 11)):
+        for e in range(1, top + 1):
+            n = p**e
+            powers = [p**i for i in range(e + 1)]
+            assert [phi_of_prime_power(q, p) for q in powers] == [phi_by_trial_division(q) for q in powers]
+            assert x0_profile(n).cusps == x0_cusps_by_divisor_sum(n, powers, lambda q: phi_of_prime_power(q, p)), n
+            # the divisors of 2N are the powers of p and twice them, or the powers of 2 up to 2N
+            divisors = [2**i for i in range(e + 2)] if p == 2 else powers + [2 * q for q in powers]
+            assert cover_profile(n).cusps == cover_cusps_by_divisor_sum(n, divisors, phi_by_trial_division), n
+    for profile in (x0_profile, cover_profile):
+        with pytest.raises(LevelBoundError):
+            profile(101**12)
+
+
+def test_odd_twice_cusp_count_raises_without_asserts():
+    # a raise, not an assert: the profile goes into certificates, also under python -O.  A factorization
+    # that leaves out the level's 2 counts the cusps of 2N = 2, where twice the count is 3
     with pytest.raises(RuntimeError, match="twice the cusp count at level 2 is odd"):
-        modcurves._cover_profile(2, {2: 1})
+        modcurves._cover_profile(2, {})

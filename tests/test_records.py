@@ -225,6 +225,23 @@ def _decomposition(term):
         (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), ((BQForm(1, 0, 1), 0.5),), 0), "^a rational value must be"),
         (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), (), 0.5), "^a rational value must be"),
         (lambda: HeegnerDivisor((1, -4, 0), (), 0), "^index must be a HeegnerIndex$"),
+        (
+            lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), ((BQForm(1, 0, 1), Fraction(1, 2)),), 5),
+            r"^degree 5 differs from the weights' sum 1/2$",
+        ),
+        (lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), (), 1), r"^degree 1 differs from the weights' sum 0$"),
+        (
+            lambda: HeegnerDivisor(HeegnerIndex(1, -4, 0), ((BQForm(1, 0, 2), Fraction(1, 2)),), Fraction(1, 2)),
+            r"^BQForm\(a=1, b=0, c=2\) is not of discriminant D",
+        ),
+        (
+            lambda: HeegnerDivisor(HeegnerIndex(2, -4, 2), ((BQForm(1, 0, 1), Fraction(1, 2)),), Fraction(1, 2)),
+            r"^BQForm\(a=1, b=0, c=1\) is not of discriminant D with N \| a",
+        ),
+        (
+            lambda: HeegnerDivisor(HeegnerIndex(2, -7, 3), ((BQForm(2, 1, 1), 1),), 1),
+            r"^BQForm\(a=2, b=1, c=1\) is not of discriminant D with N \| a and b = r mod 2N",
+        ),
         (lambda: CurveProfile("x0", 11, 12.0, 0, 0, 2), "^index, nu2, nu3 and cusps must be integers$"),
         (lambda: CurveProfile("x0", 11, 12, False, 0, 2), "^index, nu2, nu3 and cusps must be integers$"),
         (lambda: CurveProfile(7, 11, 12, 0, 0, 2), "^label must be a string$"),
